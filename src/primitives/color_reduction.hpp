@@ -56,8 +56,6 @@ LinialResult kw_reduce(const ViewT& view, std::vector<Color> color,
   SyncRunner<Color, ViewT> runner(view, std::move(color),
                                   ctx.round_indexed_engine());
   std::atomic<bool> failed{false};
-  // Shared-plane cell standing in for &failed inside pool workers.
-  const ShardFlag fail_flag = runner.ship_flag(failed);
 
   int k = num_colors;
   while (k > target) {
@@ -65,9 +63,8 @@ LinialResult kw_reduce(const ViewT& view, std::vector<Color> color,
     const int hi = std::min(group_size, k);  // offsets >= k are held nowhere
     // Eliminate group-local colors [target, hi), top first, one round each
     // (lockstep across groups): engine round r handles offset hi - 1 - r.
-    // Captures are all values, so the stage ships to the shard pool.
     const auto step = [hi, group_size, target,
-                       fail_flag](const auto& v) -> Color {
+                       &failed](const auto& v) -> Color {
       const Color c = v.self();
       const int offset = hi - 1 - v.round();
       if (c % group_size != offset) return c;
@@ -92,13 +89,13 @@ LinialResult kw_reduce(const ViewT& view, std::vector<Color> color,
         if (free_mask != 0)
           return group_base + w * 64 + __builtin_ctzll(free_mask);
       }
-      // Workers must not throw (neither ThreadPool nor a pool worker
-      // propagates); flag and re-check on the main thread after the stage.
-      fail_flag.set();
+      // Workers must not throw (ThreadPool does not propagate); flag and
+      // re-check on the main thread after the stage.
+      failed.store(true, std::memory_order_relaxed);
       return c;
     };
     const int stage_rounds = hi - target;
-    runner.run_rounds(stage_rounds, shard_safe(step));
+    runner.run_rounds(stage_rounds, step);
     DC_CHECK_MSG(!failed.load(std::memory_order_relaxed),
                  "KW: no free color during elimination");
     res.rounds += stage_rounds;

@@ -75,16 +75,11 @@ LinialResult linial_reduce(const ViewT& view,
   SyncRunner<std::uint64_t, ViewT> runner(view, initial,
                                           ctx.round_indexed_engine());
   std::atomic<bool> failed{false};
-  // The flag cell (unlike &failed, a stack address) survives shipping into
-  // pool workers; each run_* ORs it back into `failed`.
-  const ShardFlag fail_flag = runner.ship_flag(failed);
 
   // One stage = one engine round with stage-specific (q, d); the step
-  // closure is rebuilt per stage with those scalars captured by value, so
-  // its byte image is self-contained and the stage is dispatchable to the
-  // persistent shard pool (shard_safe below).
-  const auto make_step = [&](std::uint64_t q, int d) {
-    return shard_safe([q, d, fail_flag](const auto& v) -> std::uint64_t {
+  // closure is rebuilt per stage with those scalars captured by value.
+  const auto make_step = [&failed](std::uint64_t q, int d) {
+    return [q, d, &failed](const auto& v) -> std::uint64_t {
     // Decompose the closed neighborhood's colors into base-q coefficient
     // vectors (the "message" each neighbor publishes is its polynomial).
     // Scratch lives in the worker's round-local arena (one frame per
@@ -129,9 +124,9 @@ LinialResult linial_reduce(const ViewT& view,
       }
       if (ok) return x * q + mine;
     }
-    fail_flag.set();
+    failed.store(true, std::memory_order_relaxed);
     return v.self();
-    });
+    };
   };
   for (;;) {
     const auto [q, d] = detail::linial_choose_field(max_degree, max_val);

@@ -103,27 +103,20 @@ int deg_plus_one_list_color(const Graph& g, const NodeMask& active,
     class_of[sub.orig_of(i)] = lin.color[i];
   SyncRunner<Color> runner(g, color, ctx.round_indexed_engine());
   std::atomic<bool> failed{false};
-  // Side data shipped into the plane so the class sweep can dispatch to
-  // pool workers: the schedule, the CSR color lists, and the failure flag.
-  // The thread_local PaletteSet works unchanged inside a worker process.
-  const ShardSpan<Color> class_of_s = runner.ship(class_of);
-  const ColorListsRef lists_ref{runner.ship(lists.raw_offsets()).data,
-                                runner.ship(lists.raw_flat()).data};
-  const ShardFlag fail_flag = runner.ship_flag(failed);
-  const auto step = shard_safe(
-      [class_of_s, lists_ref, width, fail_flag](const auto& v) -> Color {
-        if (class_of_s[v.node()] != v.round()) return v.self();
-        PaletteSet& taken = taken_set();
-        taken.reset(width);
-        v.for_each_neighbor([&](NodeId u) {
-          const Color cu = v.neighbor(u);
-          if (cu != kNoColor) taken.insert(cu);
-        });
-        for (const Color c : lists_ref[v.node()])
-          if (!taken.contains(c)) return c;
-        fail_flag.set();
-        return v.self();
-      });
+  const auto step = [&class_of, &lists, width,
+                     &failed](const auto& v) -> Color {
+    if (class_of[v.node()] != v.round()) return v.self();
+    PaletteSet& taken = taken_set();
+    taken.reset(width);
+    v.for_each_neighbor([&](NodeId u) {
+      const Color cu = v.neighbor(u);
+      if (cu != kNoColor) taken.insert(cu);
+    });
+    for (const Color c : lists[v.node()])
+      if (!taken.contains(c)) return c;
+    failed.store(true, std::memory_order_relaxed);
+    return v.self();
+  };
   runner.run_rounds(lin.num_colors, step);
   DC_CHECK_MSG(!failed.load(std::memory_order_relaxed),
                "class-greedy ran out of colors");
@@ -164,15 +157,10 @@ int deg_plus_one_list_color_randomized(const Graph& g, const NodeMask& active,
   for (NodeId v = 0; v < g.num_nodes(); ++v) initial[v].color = color[v];
   SyncRunner<TrialState> runner(g, std::move(initial), ctx.engine());
   std::atomic<bool> failed{false};
-  // Shipped side data (see the deterministic sweep above).
-  const ShardSpan<std::uint8_t> active_s = runner.ship(active);
-  const ColorListsRef lists_ref{runner.ship(lists.raw_offsets()).data,
-                                runner.ship(lists.raw_flat()).data};
-  const ShardFlag fail_flag = runner.ship_flag(failed);
-  const auto step = shard_safe([active_s, lists_ref, width, seed,
-                                fail_flag](const auto& v) -> TrialState {
+  const auto step = [&active, &lists, width, seed,
+                     &failed](const auto& v) -> TrialState {
     TrialState s = v.self();
-    if (!active_s[v.node()] || s.color != kNoColor) return s;
+    if (!active[v.node()] || s.color != kNoColor) return s;
     if (v.round() % 2 == 0) {
       // Trial: sample uniformly from the effective list. Two passes over
       // the node's flat list against the taken bitset — count the free
@@ -185,12 +173,12 @@ int deg_plus_one_list_color_randomized(const Graph& g, const NodeMask& active,
         const Color cu = v.neighbor(u).color;
         if (cu != kNoColor) taken.insert(cu);
       });
-      const std::span<const Color> list = lists_ref[v.node()];
+      const std::span<const Color> list = lists[v.node()];
       std::size_t eff = 0;
       for (const Color c : list)
         if (!taken.contains(c)) ++eff;
       if (eff == 0) {
-        fail_flag.set();
+        failed.store(true, std::memory_order_relaxed);
         return s;
       }
       std::size_t k = hash_mix(seed, v.node(),
@@ -215,11 +203,10 @@ int deg_plus_one_list_color_randomized(const Graph& g, const NodeMask& active,
     if (ok) s.color = s.trial;
     s.trial = kNoColor;
     return s;
-  });
-  const auto done_node = shard_safe([active_s](NodeId v,
-                                               const TrialState& s) {
-    return !active_s[v] || s.color != kNoColor;
-  });
+  };
+  const auto done_node = [&active](NodeId v, const TrialState& s) {
+    return !active[v] || s.color != kNoColor;
+  };
   const int engine_rounds =
       runner.run_until(2 * max_iterations, step, done_node);
   DC_CHECK_MSG(!failed.load(std::memory_order_relaxed),

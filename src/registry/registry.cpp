@@ -5,6 +5,7 @@
 
 #include "baselines/baselines.hpp"
 #include "baselines/brooks.hpp"
+#include "common/edit_distance.hpp"
 #include "core/delta_coloring.hpp"
 #include "graph/checker.hpp"
 #include "local/message_passing.hpp"
@@ -180,21 +181,6 @@ constexpr AlgorithmEntry kRegistry[] = {
      run_matching},
     {"ruling", "(2, O(log Delta)) ruling set via bit peeling", run_ruling},
 };
-
-std::size_t edit_distance(std::string_view a, std::string_view b) {
-  std::vector<std::size_t> row(b.size() + 1);
-  for (std::size_t j = 0; j <= b.size(); ++j) row[j] = j;
-  for (std::size_t i = 1; i <= a.size(); ++i) {
-    std::size_t diag = row[0];
-    row[0] = i;
-    for (std::size_t j = 1; j <= b.size(); ++j) {
-      const std::size_t subst = diag + (a[i - 1] == b[j - 1] ? 0 : 1);
-      diag = row[j];
-      row[j] = std::min({row[j] + 1, row[j - 1] + 1, subst});
-    }
-  }
-  return row[b.size()];
-}
 
 }  // namespace
 

@@ -72,6 +72,81 @@ TEST(FaultSpecGrammar, ParsesCoordinatesAndPayloads) {
   EXPECT_FALSE(parse_fault_spec("engine-exception@cell=", &out));
 }
 
+TEST(FaultGrammar, ParsesEveryKeyAndCategory) {
+  FaultSpec spec;
+  std::string error;
+  ASSERT_TRUE(parse_fault_spec(
+      "invariant-violation@cell=3,round=2,node=5,phase=p,attempts=4", &spec,
+      &error))
+      << error;
+  EXPECT_EQ(spec.category, FaultCategory::kInvariantViolation);
+  EXPECT_EQ(spec.cell, 3);
+  EXPECT_EQ(spec.round, 2);
+  EXPECT_EQ(spec.node, 5);
+  EXPECT_EQ(spec.phase, "p");
+  EXPECT_EQ(spec.attempts, 4);
+  for (const char* category :
+       {"invariant-violation", "round-budget-exceeded", "wall-clock-timeout",
+        "allocation-limit", "engine-exception", "process-kill"}) {
+    ASSERT_TRUE(parse_fault_spec(std::string(category) + "@cell=1", &spec,
+                                 &error))
+        << category << ": " << error;
+    EXPECT_EQ(to_string(spec.category), category);
+  }
+}
+
+TEST(FaultGrammar, UnknownCategoryGetsADidYouMean) {
+  FaultSpec spec;
+  std::string error;
+  EXPECT_FALSE(parse_fault_spec("process-kil@cell=1", &spec, &error));
+  EXPECT_NE(error.find("process-kill"), std::string::npos) << error;
+  error.clear();
+  EXPECT_FALSE(parse_fault_spec("engine-exceptoin@round=1", &spec, &error));
+  EXPECT_NE(error.find("engine-exception"), std::string::npos) << error;
+}
+
+TEST(FaultGrammar, UnknownKeyGetsADidYouMean) {
+  FaultSpec spec;
+  std::string error;
+  EXPECT_FALSE(parse_fault_spec("engine-exception@rond=1", &spec, &error));
+  EXPECT_NE(error.find("round"), std::string::npos) << error;
+}
+
+TEST(FaultGrammar, MalformedPairsAndValuesAreRejected) {
+  FaultSpec spec;
+  std::string error;
+  EXPECT_FALSE(parse_fault_spec("engine-exception@round", &spec, &error));
+  EXPECT_FALSE(error.empty());
+  error.clear();
+  EXPECT_FALSE(parse_fault_spec("engine-exception@round=abc", &spec, &error));
+  EXPECT_FALSE(error.empty());
+  error.clear();
+  EXPECT_FALSE(parse_fault_spec("", &spec, &error));
+  EXPECT_FALSE(error.empty());
+}
+
+// process-kill fires only at cell start, which never matches a round
+// coordinate: a round= spec would arm and silently never fire.
+TEST(FaultGrammar, ProcessKillRejectsARoundCoordinate) {
+  FaultSpec spec;
+  std::string error;
+  EXPECT_FALSE(parse_fault_spec("process-kill@round=3", &spec, &error));
+  EXPECT_NE(error.find("process-kill"), std::string::npos) << error;
+  EXPECT_NE(error.find("did you mean 'cell'"), std::string::npos) << error;
+  EXPECT_TRUE(parse_fault_spec("process-kill@cell=3", &spec, &error))
+      << error;
+}
+
+TEST(FaultGrammar, ShardKeyIsUnknown) {
+  FaultSpec spec;
+  std::string error;
+  EXPECT_FALSE(
+      parse_fault_spec("engine-exception@round=1,shard=0", &spec, &error));
+  EXPECT_NE(error.find("unknown fault key 'shard'"), std::string::npos)
+      << error;
+  EXPECT_NE(error.find("did you mean"), std::string::npos) << error;
+}
+
 TEST(FaultMatrix, EngineExceptionIsCaughtAndQuarantined) {
   ArmedScope armed({spec_of("engine-exception@cell=2,attempts=0")});
   SweepOptions opt;

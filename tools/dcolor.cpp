@@ -24,19 +24,6 @@
 //                  the DELTACOLOR_THREADS env var; default: all cores)
 //   --frontier     sparse activation: re-step only nodes whose closed
 //                  neighborhood changed last round (engine algorithms)
-//   --backend=M    M in {inproc, proc}: execution backend. proc shards the
-//                  loaded instance across forked worker processes that
-//                  exchange boundary state at round barriers; results are
-//                  bit-identical to inproc. Prints a per-shard SHARDS
-//                  accounting block next to the ledger / SWEEP line
-//   --shards=N     proc backend: number of worker processes (default 2;
-//                  clamped, with a warning, when shards would be empty)
-//   --barrier=M    proc backend round barrier, M in {shm, frames}: shm
-//                  (default) synchronizes rounds through shared-memory
-//                  epoch cells with zero per-round syscalls; frames is the
-//                  coordinator socketpair barrier — the escape hatch when
-//                  diagnosing a stuck barrier (DELTACOLOR_BARRIER=frames
-//                  is the env equivalent)
 //   --repeat=N     color only: run N seeds (seed, seed+1, ...) of the
 //                  algorithm over the shared instance as concurrent sweep
 //                  cells; print per-seed rounds and aggregate wall-clock
@@ -49,6 +36,9 @@
 //                  quarantined (retries re-run with a perturbed seed)
 //   --journal=P    color --repeat: JSONL checkpoint journal at path P
 //   --resume       with --journal: skip seeds already completed in P
+//
+// Any other --flag is a usage error (exit 2) with a did-you-mean hint, so a
+// mistyped or retired flag never runs silently with its default.
 //
 // Exit codes: 0 success; 1 runtime failure (invalid result, quarantined
 // cells, engine error); 2 usage error / invalid flag combination;
@@ -77,6 +67,7 @@
 #include "bench_support/instance_cache.hpp"
 
 #include "bench_support/sweep.hpp"
+#include "common/edit_distance.hpp"
 #include "common/stats.hpp"
 #include "deltacolor.hpp"
 
@@ -105,17 +96,7 @@ int usage() {
          "(LOCAL id source; auto = file ids for .dcsr, shuffled for text), "
          "--list (registered algorithms), --threads=N (engine "
          "workers, 0 = auto; env DELTACOLOR_THREADS), --frontier (sparse "
-         "activation), --backend=inproc|proc (proc = multi-process sharded "
-         "execution with halo exchange; bit-identical results), --shards=N "
-         "(proc backend: worker processes, default 2, 0 = one per hardware "
-         "core), --barrier=shm|frames (proc backend round barrier: "
-         "shared-memory epoch cells (default) or coordinator frames; env "
-         "DELTACOLOR_BARRIER), --shard-stall-ms=N (proc backend: watchdog "
-         "deadline before a silent worker is declared hung and its stage "
-         "replayed; 0 = off, default 10000; env DELTACOLOR_SHARD_STALL_MS; "
-         "respawn budget / in-process degradation via env "
-         "DELTACOLOR_SHARD_RESPAWNS and DELTACOLOR_SHARD_DEGRADE), "
-         "--repeat=N (color: N seeds as sweep cells, "
+         "activation), --repeat=N (color: N seeds as sweep cells, "
          "aggregate stats), --validate=off|end|phase (oracle mode: check "
          "the final coloring / every pipeline phase boundary), --retries=N "
          "(repeat: attempts per seed before quarantine), --journal=PATH "
@@ -128,6 +109,23 @@ int usage() {
   return kExitUsage;
 }
 
+/// Every flag main() accepts, by name (the part before any '=').
+constexpr std::string_view kKnownFlags[] = {
+    "--list",    "--load",     "--ids",     "--threads", "--frontier",
+    "--repeat",  "--validate", "--retries", "--journal", "--resume",
+    "--help"};
+
+/// A --flag main() does not know: one line naming it, with the closest
+/// known flag when one is a plausible typo, then the usage exit code.
+int unknown_flag(std::string_view arg) {
+  const std::string_view name = arg.substr(0, arg.find('='));
+  std::cerr << "dcolor: unknown flag '" << arg << "'";
+  const std::string_view hint = closest_name(name, kKnownFlags);
+  if (!hint.empty()) std::cerr << " — did you mean '" << hint << "'?";
+  std::cerr << " (see dcolor --help)\n";
+  return kExitUsage;
+}
+
 int list_algorithms() {
   std::cout << "registered algorithms:\n";
   for (const AlgorithmEntry& e : algorithm_registry())
@@ -137,16 +135,12 @@ int list_algorithms() {
 }
 
 EngineOptions g_engine;  // from --threads / --frontier
-bool g_proc_backend = false;  // from --backend=proc
-int g_shards = 2;             // from --shards=N
-BarrierMode g_barrier = BarrierMode::kAuto;  // from --barrier=M
-int g_repeat = 1;             // from --repeat=N
+int g_repeat = 1;        // from --repeat=N
 ValidateMode g_validate = ValidateMode::kOff;  // from --validate=M
 int g_retries = 1;                             // from --retries=N
 std::string g_journal_path;                    // from --journal=P
 bool g_resume = false;                         // from --resume
 std::string g_load_path;                       // from --load=PATH
-int g_stall_ms = -1;                           // from --shard-stall-ms=N
 
 enum class IdsMode { kAuto, kFile, kShuffled };
 IdsMode g_ids = IdsMode::kAuto;  // from --ids=M
@@ -300,21 +294,13 @@ struct RepeatRow {
   bool ok = false;
   std::int64_t rounds = 0;
   double wall_ms = 0;
-  // Recovery accounting deltas observed while this cell ran (proc backend
-  // only; all zero in-process). Under concurrent cells the attribution is
-  // best-effort — a respawn lands on whichever cell's window saw it — but
-  // the batch totals match the SHARDS report.
-  std::int64_t respawns = 0;
-  std::int64_t stalls = 0;
-  std::int64_t degraded = 0;
   std::string summary;
 };
 
 std::string encode_repeat_row(const RepeatRow& row) {
   std::ostringstream os;
   os << (row.ok ? 1 : 0) << '\x1f' << row.rounds << '\x1f' << row.wall_ms
-     << '\x1f' << row.respawns << '\x1f' << row.stalls << '\x1f'
-     << row.degraded << '\x1f' << row.summary;
+     << '\x1f' << row.summary;
   return os.str();
 }
 
@@ -333,9 +319,9 @@ bool decode_repeat_row(std::string_view text, RepeatRow* out) {
   row.ok = ok == "1";
   row.rounds = std::strtoll(rounds.c_str(), nullptr, 10);
   row.wall_ms = std::strtod(wall.c_str(), nullptr);
-  // Recovery counters arrived with the self-healing backend; journals
-  // written before it lack the fields, and --resume must still accept
-  // their rows (counters default to zero, summary is the remainder).
+  // Journals written by the retired multi-process backend carry three
+  // all-digit recovery counters after wall_ms; --resume skips them so
+  // those rows still load (the summary is the remainder either way).
   const std::size_t before_counters = pos;
   const auto all_digits = [](const std::string& s) {
     if (s.empty()) return false;
@@ -343,15 +329,10 @@ bool decode_repeat_row(std::string_view text, RepeatRow* out) {
       if (c < '0' || c > '9') return false;
     return true;
   };
-  std::string respawns, stalls, degraded;
-  if (next(&respawns) && next(&stalls) && next(&degraded) &&
-      all_digits(respawns) && all_digits(stalls) && all_digits(degraded)) {
-    row.respawns = std::strtoll(respawns.c_str(), nullptr, 10);
-    row.stalls = std::strtoll(stalls.c_str(), nullptr, 10);
-    row.degraded = std::strtoll(degraded.c_str(), nullptr, 10);
-  } else {
+  std::string c1, c2, c3;
+  if (!(next(&c1) && next(&c2) && next(&c3) && all_digits(c1) &&
+        all_digits(c2) && all_digits(c3)))
     pos = before_counters;
-  }
   row.summary = std::string(text.substr(pos));
   *out = row;
   return true;
@@ -416,25 +397,6 @@ int cmd_color(int argc, char** argv) {
   }
   const Graph& g = shuffle ? reidentified : *shared;
   report_loaded_instance(graph_path, dcsr, g, shuffle ? "shuffled" : "file");
-  // --backend=proc: shard the loaded instance once; every run (and every
-  // --repeat cell) stages its shardable sweeps through forked workers.
-  // Stages the backend cannot shard (nested subgraphs, non-POD states)
-  // fall back in-process and are counted in the SHARDS report.
-  std::unique_ptr<ProcShardedBackend> proc_backend;
-  if (g_proc_backend) {
-    proc_backend = std::make_unique<ProcShardedBackend>(
-        g_shards, /*persistent=*/true, g_barrier);
-    // The CLI turns the stall watchdog ON by default (10s — generous
-    // enough that a slow-but-live shard on a loaded box is never shot);
-    // the library default is off so embedders and tests opt in. Flag
-    // beats env beats the CLI default.
-    if (g_stall_ms >= 0)
-      proc_backend->set_stall_ms(g_stall_ms);
-    else if (std::getenv("DELTACOLOR_SHARD_STALL_MS") == nullptr)
-      proc_backend->set_stall_ms(10000);
-    proc_backend->prepare(g);
-    g_engine.backend = proc_backend.get();
-  }
   AlgorithmRequest req;
   req.seed =
       argc > base + 1 ? std::strtoull(argv[base + 1], nullptr, 10) : 1;
@@ -483,8 +445,6 @@ int cmd_color(int argc, char** argv) {
           cell_req.engine = ctx.engine();
           cell_req.validate = g_validate;
           const auto t0 = std::chrono::steady_clock::now();
-          ProcShardedBackend::Totals before;
-          if (proc_backend != nullptr) before = proc_backend->totals();
           const AlgorithmResult res = entry->run(g, cell_req);
           RepeatRow row;
           row.wall_ms = std::chrono::duration<double, std::milli>(
@@ -492,15 +452,6 @@ int cmd_color(int argc, char** argv) {
                             .count();
           row.ok = res.ok;
           row.rounds = res.ledger.total();
-          if (proc_backend != nullptr) {
-            const ProcShardedBackend::Totals after = proc_backend->totals();
-            row.respawns = static_cast<std::int64_t>(after.respawns -
-                                                     before.respawns);
-            row.stalls =
-                static_cast<std::int64_t>(after.stalls - before.stalls);
-            row.degraded = static_cast<std::int64_t>(after.degraded -
-                                                     before.degraded);
-          }
           row.summary = res.summary;
           return row;
         },
@@ -520,11 +471,8 @@ int cmd_color(int argc, char** argv) {
         all_ok = false;
         continue;
       }
-      std::cout << " rounds=" << row.rounds << " wall_ms=" << row.wall_ms;
-      if (row.respawns > 0 || row.stalls > 0 || row.degraded > 0)
-        std::cout << " respawns=" << row.respawns << " stalls=" << row.stalls
-                  << " degraded=" << row.degraded;
-      std::cout << " " << (row.ok ? "ok" : "INVALID")
+      std::cout << " rounds=" << row.rounds << " wall_ms=" << row.wall_ms
+                << " " << (row.ok ? "ok" : "INVALID")
                 << (oc.resumed ? " (resumed)" : "") << " — " << row.summary
                 << "\n";
       rounds.push_back(static_cast<double>(row.rounds));
@@ -535,13 +483,11 @@ int cmd_color(int argc, char** argv) {
       std::cout << "rounds:  " << format_summary(summarize(rounds)) << "\n"
                 << "wall_ms: " << format_summary(summarize(wall)) << "\n";
     std::cout << driver.report() << "\n";
-    if (proc_backend != nullptr) std::cout << proc_backend->report() << "\n";
     return all_ok ? 0 : kExitFailure;
   }
 
   const AlgorithmResult res = entry->run(g, req);
   std::cout << res.summary << "\n" << res.ledger.report();
-  if (proc_backend != nullptr) std::cout << proc_backend->report() << "\n";
   if (!res.ok) {
     std::cerr << "RESULT INVALID\n";
     return kExitFailure;
@@ -599,49 +545,6 @@ int main(int argc, char** argv) {
       if (n > 0) ThreadPool::set_default_workers(n);
     } else if (arg == "--frontier") {
       g_engine.frontier = true;
-    } else if (arg.rfind("--backend=", 0) == 0) {
-      const std::string mode = arg.substr(10);
-      if (mode == "proc") {
-        g_proc_backend = true;
-      } else if (mode == "inproc") {
-        g_proc_backend = false;
-      } else {
-        std::cerr << "dcolor: invalid " << arg
-                  << " (backends: inproc, proc)\n";
-        return kExitUsage;
-      }
-    } else if (arg.rfind("--shards=", 0) == 0) {
-      const int n = std::atoi(arg.c_str() + 9);
-      if (n < 0) {
-        std::cerr << "dcolor: invalid " << arg
-                  << " (need at least 1, or 0 = auto)\n";
-        return kExitUsage;
-      }
-      // 0 = auto, mirroring --threads=0: one shard per hardware core. The
-      // resolved count is printed in the startup provenance line.
-      g_shards = n > 0 ? n
-                       : std::max(
-                             1, static_cast<int>(
-                                    std::thread::hardware_concurrency()));
-    } else if (arg.rfind("--barrier=", 0) == 0) {
-      const std::string mode = arg.substr(10);
-      if (mode == "shm") {
-        g_barrier = BarrierMode::kShm;
-      } else if (mode == "frames") {
-        g_barrier = BarrierMode::kFrames;
-      } else {
-        std::cerr << "dcolor: invalid " << arg
-                  << " (barriers: shm, frames)\n";
-        return kExitUsage;
-      }
-    } else if (arg.rfind("--shard-stall-ms=", 0) == 0) {
-      g_stall_ms = std::atoi(arg.c_str() + 17);
-      if (g_stall_ms < 0 ||
-          (g_stall_ms == 0 && std::string(arg.c_str() + 17) != "0")) {
-        std::cerr << "dcolor: invalid " << arg
-                  << " (milliseconds; 0 turns the watchdog off)\n";
-        return kExitUsage;
-      }
     } else if (arg.rfind("--repeat=", 0) == 0) {
       g_repeat = std::atoi(arg.c_str() + 9);
       if (g_repeat < 1) {
@@ -692,6 +595,8 @@ int main(int argc, char** argv) {
     } else if (arg == "--help" || arg == "-h") {
       usage();
       return 0;
+    } else if (arg.rfind("--", 0) == 0) {
+      return unknown_flag(arg);
     } else {
       argv[kept++] = argv[i];
     }
@@ -717,13 +622,6 @@ int main(int argc, char** argv) {
                                           : std::to_string(
                                                 g_engine.num_threads))
             << "), frontier=" << (g_engine.frontier ? "on" : "off")
-            << ", backend="
-            << (g_proc_backend
-                    ? "proc(shards=" + std::to_string(g_shards) +
-                          ", barrier=" +
-                          barrier_mode_name(resolve_barrier_mode(g_barrier)) +
-                          ")"
-                    : std::string("inproc"))
             << "\n";
   const std::string cmd = argv[1];
   try {
