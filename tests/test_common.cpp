@@ -1,14 +1,18 @@
 // Unit tests for the common utilities: statistics/fitting, the PRNG, the
-// thread pool's caller-bounded dispatch, and the round ledger.
+// thread pool's caller-bounded dispatch, the round ledger, and the edit
+// distance behind every did-you-mean hint.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <cmath>
 #include <mutex>
+#include <span>
 #include <stdexcept>
+#include <string_view>
 #include <utility>
 #include <vector>
 
+#include "common/edit_distance.hpp"
 #include "common/rng.hpp"
 #include "common/stats.hpp"
 #include "common/thread_pool.hpp"
@@ -190,6 +194,63 @@ TEST(ThreadPoolChunks, BoundsShorterThanWorkersThrow) {
   EXPECT_THROW(pool.for_chunks({}, noop), std::logic_error);
   EXPECT_THROW(pool.for_chunks({0, 10}, noop), std::logic_error);
   EXPECT_THROW(pool.for_chunks({0, 5, 10, 15}, noop), std::logic_error);
+}
+
+// --- edit distance ---------------------------------------------------------
+
+TEST(EditDistance, IdenticalStringsAreZeroApart) {
+  EXPECT_EQ(edit_distance("", ""), 0u);
+  EXPECT_EQ(edit_distance("--threads", "--threads"), 0u);
+}
+
+TEST(EditDistance, EmptyStringIsTheOtherLengthAway) {
+  EXPECT_EQ(edit_distance("", "trial"), 5u);
+  EXPECT_EQ(edit_distance("matching", ""), 8u);
+}
+
+TEST(EditDistance, CountsSingleEdits) {
+  EXPECT_EQ(edit_distance("--thread", "--threads"), 1u);   // insertion
+  EXPECT_EQ(edit_distance("--threadss", "--threads"), 1u); // deletion
+  EXPECT_EQ(edit_distance("mis-det", "mis-dat"), 1u);      // substitution
+  EXPECT_EQ(edit_distance("kitten", "sitting"), 3u);
+}
+
+TEST(EditDistance, TranspositionCostsTwo) {
+  // Plain Levenshtein, not Damerau: a swap is two substitutions.
+  EXPECT_EQ(edit_distance("trail", "trial"), 2u);
+}
+
+TEST(EditDistance, IsSymmetric) {
+  const std::string_view words[] = {"", "det", "rand", "greedy", "ruling",
+                                    "--frontier", "process-kill"};
+  for (const std::string_view a : words)
+    for (const std::string_view b : words)
+      EXPECT_EQ(edit_distance(a, b), edit_distance(b, a)) << a << " " << b;
+}
+
+TEST(ClosestName, PicksTheNearestCandidate) {
+  constexpr std::string_view flags[] = {"--threads", "--frontier", "--repeat"};
+  EXPECT_EQ(closest_name("--thread", flags), "--threads");
+  EXPECT_EQ(closest_name("--fronteir", flags), "--frontier");
+  EXPECT_EQ(closest_name("--repeat", flags), "--repeat");
+}
+
+TEST(ClosestName, FirstCandidateWinsTies) {
+  constexpr std::string_view ab[] = {"cat", "car"};
+  constexpr std::string_view ba[] = {"car", "cat"};
+  EXPECT_EQ(closest_name("caq", ab), "cat");
+  EXPECT_EQ(closest_name("caq", ba), "car");
+}
+
+TEST(ClosestName, NothingWithinThreeEditsIsNoHint) {
+  constexpr std::string_view flags[] = {"--threads", "--frontier"};
+  EXPECT_EQ(closest_name("--backend", flags), "");
+  // Exactly three edits is still a plausible typo; four is not.
+  constexpr std::string_view words[] = {"abcdefgh"};
+  EXPECT_EQ(closest_name("abcdeXYZ", words), "abcdefgh");
+  EXPECT_EQ(closest_name("abcdWXYZ", words), "");
+  EXPECT_EQ(closest_name("anything", std::span<const std::string_view>{}),
+            "");
 }
 
 }  // namespace

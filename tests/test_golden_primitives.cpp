@@ -5,10 +5,15 @@
 //  (b) results are bit-identical across engine configurations
 //      ({1 worker, full sweep} x {8 workers} x {frontier}) — the
 //      SyncRunner fidelity contract, end to end through LocalContext for
-//      the composed pipelines, not just leaf primitives.
+//      the composed pipelines, not just leaf primitives;
+//  (c) per algorithm, every uneven worker count (2, 3, 5, 7 workers, with
+//      and without frontier) still lands on the pinned hash, so chunk
+//      boundaries that split cliques differently cannot leak into results.
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <ostream>
+#include <string>
 #include <string_view>
 
 #include "bench_support/workloads.hpp"
@@ -101,6 +106,36 @@ TEST(GoldenPrimitives, ResultsBitIdenticalAcrossWorkersAndFrontier) {
     }
   }
 }
+
+// Names the parameter in test listings by algorithm, not by raw bytes.
+void PrintTo(const Golden& golden, std::ostream* os) { *os << golden.name; }
+
+class UnevenWorkerCounts : public ::testing::TestWithParam<Golden> {};
+
+TEST_P(UnevenWorkerCounts, MatchPinnedHash) {
+  const Golden golden = GetParam();
+  const Graph g = bench::hard_instance(32, 12, 5).graph;
+  for (const int workers : {2, 3, 5, 7}) {
+    for (const bool frontier : {false, true}) {
+      AlgorithmRequest req;
+      req.seed = 7;
+      req.engine = {workers, frontier};
+      const AlgorithmResult res = bench::run_registered(golden.name, g, req);
+      EXPECT_TRUE(res.ok) << "workers=" << workers;
+      EXPECT_EQ(result_hash(res), golden.hash)
+          << "workers=" << workers << " frontier=" << frontier;
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Registry, UnevenWorkerCounts, ::testing::ValuesIn(kGolden),
+    [](const ::testing::TestParamInfo<Golden>& info) {
+      std::string name(info.param.name);
+      for (char& c : name)
+        if (c == '-') c = '_';
+      return name;
+    });
 
 }  // namespace
 }  // namespace deltacolor
