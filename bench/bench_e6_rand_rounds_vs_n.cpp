@@ -164,12 +164,11 @@ void run_tables() {
 }
 
 // Execution-engine head-to-head on the largest seed workload: the same
-// color-trial protocol under full sweeps vs sparse activation (frontier),
-// serial vs the parallel partitioner, against full-sweep serial as the
-// baseline. Rounds are identical by construction (the engine is
+// color-trial protocol serial vs the parallel partitioner, against serial
+// as the baseline. Rounds are identical by construction (the engine is
 // deterministic); wall-clock is what changes.
 void run_engine_tables(bool quick = false) {
-  banner("E6b", "round engine: full sweeps vs sparse activation "
+  banner("E6b", "round engine: serial vs 4 workers "
                 "(color trials, largest workload)");
   // --quick (CI perf-smoke): a quarter-size workload and single reps keep
   // the job under a minute while exercising every engine configuration.
@@ -177,8 +176,7 @@ void run_engine_tables(bool quick = false) {
   const Graph& g = inst->graph;
   std::cout << "n = " << g.num_nodes() << ", Delta = " << g.max_degree()
             << "\n";
-  Table t({"engine", "workers", "frontier", "rounds", "wall(ms)",
-           "speedup", "valid"});
+  Table t({"engine", "workers", "rounds", "wall(ms)", "speedup", "valid"});
   double baseline_ms = 0.0;
   std::vector<Color> baseline_color;
   struct Config {
@@ -186,10 +184,8 @@ void run_engine_tables(bool quick = false) {
     EngineOptions opts;
   };
   const Config configs[] = {
-      {"full-sweep serial", {1, false}},
-      {"frontier serial", {1, true}},
-      {"full-sweep 4 workers", {4, false}},
-      {"frontier 4 workers", {4, true}},
+      {"serial", {1}},
+      {"4 workers", {4}},
   };
   for (const Config& cfg : configs) {
     RoundLedger ledger;
@@ -205,14 +201,12 @@ void run_engine_tables(bool quick = false) {
     }
     const bool valid = is_proper_coloring(g, color, g.max_degree() + 1) &&
                        color == baseline_color;
-    t.row(cfg.name, cfg.opts.num_threads, cfg.opts.frontier ? "yes" : "no",
-          ledger.total(), ms, baseline_ms / std::max(ms, 1e-9),
-          valid ? "yes" : "NO");
+    t.row(cfg.name, cfg.opts.num_threads, ledger.total(), ms,
+          baseline_ms / std::max(ms, 1e-9), valid ? "yes" : "NO");
     BenchJson("E6")
         .field("workload", "color-trial-engine")
         .field("engine", cfg.name)
         .field("workers", cfg.opts.num_threads)
-        .field("frontier", cfg.opts.frontier)
         .field("n", g.num_nodes())
         .field("valid", valid)
         .field("wall_ms", ms)
@@ -221,27 +215,26 @@ void run_engine_tables(bool quick = false) {
         .print();
   }
   t.print();
-  std::cout << "speedup is vs full-sweep serial; colorings are asserted "
+  std::cout << "speedup is vs serial; colorings are asserted "
                "bit-identical across all rows\n";
 
   // The composed Theorem 2 pipeline under the same knobs: EngineOptions
   // flow through LocalContext into every nested subroutine (shattered
   // components included), so this measures the paper pipeline — not a demo
-  // protocol — benefiting from workers/frontier. Bit-identical colorings
+  // protocol — benefiting from workers. Bit-identical colorings
   // asserted across configs.
   const unsigned hw = std::thread::hardware_concurrency();
   std::cout << "\ncomposed randomized pipeline under the same engine "
                "configs (hardware threads = "
             << hw << "):\n";
-  Table t3({"engine", "workers", "frontier", "rounds", "wall(ms)",
-            "speedup", "valid"});
+  Table t3({"engine", "workers", "rounds", "wall(ms)", "speedup", "valid"});
   double pipeline_baseline_ms = 0.0;
   std::vector<Color> pipeline_baseline_color;
   for (const Config& cfg : configs) {
     AlgorithmRequest req;
     req.seed = 21;
     req.engine = cfg.opts;
-    // Best-of-3 to keep single-run noise below the frontier delta.
+    // Best-of-3 to keep single-run noise below the worker-count delta.
     double ms = 0.0;
     AlgorithmResult res;
     for (int rep = 0; rep < (quick ? 1 : 3); ++rep) {
@@ -257,14 +250,12 @@ void run_engine_tables(bool quick = false) {
       pipeline_baseline_color = res.color;
     }
     const bool valid = res.ok && res.color == pipeline_baseline_color;
-    t3.row(cfg.name, cfg.opts.num_threads, cfg.opts.frontier ? "yes" : "no",
-           res.ledger.total(), ms,
+    t3.row(cfg.name, cfg.opts.num_threads, res.ledger.total(), ms,
            pipeline_baseline_ms / std::max(ms, 1e-9), valid ? "yes" : "NO");
     BenchJson("E6")
         .field("workload", "composed-rand-pipeline")
         .field("engine", cfg.name)
         .field("workers", cfg.opts.num_threads)
-        .field("frontier", cfg.opts.frontier)
         .field("hw_threads", static_cast<std::int64_t>(hw))
         .field("n", g.num_nodes())
         .field("valid", valid)
@@ -276,8 +267,7 @@ void run_engine_tables(bool quick = false) {
   }
   t3.print();
   std::cout << "worker rows can only beat serial when hardware threads > 1; "
-               "frontier reduces wall-clock at identical rounds and "
-               "colorings\n";
+               "rounds and colorings are identical across rows\n";
 }
 
 void BM_RandomizedColoring(benchmark::State& state) {

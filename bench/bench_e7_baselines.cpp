@@ -172,20 +172,18 @@ void run_tables() {
   }
   std::cout << driver.report() << "\n";
 
-  // Engine configurations head-to-head on the same protocol: the round
-  // engine's sparse-activation mode against full sweeps, on the message-
-  // passing color-trial workload (the engine's hot path). Serial on
-  // purpose — this section measures engine wall-clock, so cells must not
-  // share the machine.
+  // Engine configurations head-to-head on the same protocol: serial
+  // against 4 workers, on the message-passing color-trial workload (the
+  // engine's hot path). Not a sweep on purpose — this section measures
+  // engine wall-clock, so cells must not share the machine.
   banner("E7b", "round engine configurations (color trials, hard blow-up)");
   {
     const auto inst = cached_hard(512, 16, 17);
     const Graph& g = inst->graph;
     Table t({"engine", "rounds", "wall(ms)", "valid"});
     const std::pair<const char*, EngineOptions> configs[] = {
-        {"full-sweep serial", {1, false}},
-        {"frontier serial", {1, true}},
-        {"frontier 4 workers", {4, true}},
+        {"serial", {1}},
+        {"4 workers", {4}},
     };
     for (const auto& [name, opts] : configs) {
       RoundLedger ledger;

@@ -5,6 +5,7 @@
 #include <sstream>
 
 #include "common/check.hpp"
+#include "common/errors.hpp"
 
 namespace deltacolor {
 
@@ -242,6 +243,15 @@ std::vector<std::string> validate_acd(const Graph& g, const Acd& acd) {
     }
   }
   return violations;
+}
+
+void require_dense(const Acd& acd) {
+  if (acd.is_dense()) return;
+  std::ostringstream os;
+  os << "input graph is not dense (Definition 4): " << acd.sparse.size()
+     << " sparse vertices under epsilon=" << acd.epsilon;
+  throw CellError(FaultCategory::kNotDense, os.str(),
+                  ErrorContext{.phase = "acd"});
 }
 
 }  // namespace deltacolor

@@ -54,6 +54,11 @@ Acd compute_acd(const Graph& g, RoundLedger& ledger,
                 const AcdParams& params = {},
                 const std::string& phase = "acd");
 
+/// The density precondition of Theorems 1 and 2: throws a CellError of
+/// category not-dense, naming the sparse-vertex count, unless `acd` has no
+/// sparse nodes.
+void require_dense(const Acd& acd);
+
 /// Structural validation of Lemma 2 (i)-(iii) and Observation 3.
 /// Returns a human-readable list of violations (empty = valid).
 std::vector<std::string> validate_acd(const Graph& g, const Acd& acd);

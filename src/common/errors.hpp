@@ -27,7 +27,8 @@ namespace deltacolor {
 
 /// Failure taxonomy. kProcessKill never appears in a CellError — it is a
 /// FaultInjector-only action (simulating a SIGKILL mid-sweep for the
-/// journal/--resume round-trip tests).
+/// journal/--resume round-trip tests). kNotDense is the reverse: a property
+/// of the input, never injected, so fault specs cannot name it.
 enum class FaultCategory {
   kInvariantViolation,   ///< oracle found an improper partial/final coloring
   kRoundBudgetExceeded,  ///< cell consumed more simulated rounds than allowed
@@ -35,6 +36,7 @@ enum class FaultCategory {
   kAllocationLimit,      ///< scratch arena byte budget exhausted
   kEngineException,      ///< any other exception escaping the cell
   kProcessKill,          ///< injector-only: hard process exit (resume tests)
+  kNotDense,             ///< input fails Definition 4 (det/rand precondition)
 };
 
 constexpr std::string_view to_string(FaultCategory c) {
@@ -45,12 +47,13 @@ constexpr std::string_view to_string(FaultCategory c) {
     case FaultCategory::kAllocationLimit: return "allocation-limit";
     case FaultCategory::kEngineException: return "engine-exception";
     case FaultCategory::kProcessKill: return "process-kill";
+    case FaultCategory::kNotDense: return "not-dense";
   }
   return "unknown";
 }
 
-/// Parses the names emitted by to_string(FaultCategory). Returns false and
-/// leaves `out` untouched on unknown names.
+/// Parses the names emitted by to_string(FaultCategory), except not-dense.
+/// Returns false and leaves `out` untouched on unknown names.
 inline bool parse_fault_category(std::string_view name, FaultCategory* out) {
   for (const FaultCategory c :
        {FaultCategory::kInvariantViolation, FaultCategory::kRoundBudgetExceeded,

@@ -46,10 +46,7 @@ DeltaColoringResult delta_color_dense(const Graph& g,
   const Acd acd = compute_acd(g, res.ledger, options.acd);
   res.dense = acd.is_dense();
   res.num_cliques = acd.num_cliques();
-  DC_CHECK_MSG(res.dense,
-               "input graph is not dense (Definition 4): "
-                   << acd.sparse.size() << " sparse vertices under epsilon="
-                   << options.acd.epsilon);
+  require_dense(acd);
 
   // Loophole detection and hard/easy classification (Definitions 6, 8),
   // with constructive demotion retries.

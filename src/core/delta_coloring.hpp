@@ -21,8 +21,8 @@ namespace deltacolor {
 struct DeltaColoringOptions {
   AcdParams acd;
   HardColoringParams hard;
-  /// Execution-layer knobs (worker threads, frontier sweeps) threaded into
-  /// every engine-stepped subroutine via LocalContext. Purely about *how*
+  /// Execution-layer knobs (worker threads) threaded into every
+  /// engine-stepped subroutine via LocalContext. Purely about *how*
   /// the simulation executes — the coloring is bit-identical across
   /// settings.
   EngineOptions engine;

@@ -4,8 +4,8 @@
 //
 // A context bundles
 //   - the RoundLedger round/wall-clock accounting sink,
-//   - the EngineOptions (worker threads, sparse-activation frontier) every
-//     SyncRunner spawned below this call inherits,
+//   - the EngineOptions (worker threads) every SyncRunner spawned below
+//     this call inherits,
 //   - the random seed randomized subroutines draw from, and
 //   - a scoped *phase stack*: charges always go to the innermost pushed
 //     phase label, so a composed pipeline (e.g. hard-clique Phase 1 calling
@@ -18,15 +18,6 @@
 // pushes when no phase is active — so `mis_deterministic(g, ctx)` charges
 // to "mis" standalone but to "phase1-matching" when called under that
 // scope. This reproduces exactly the old default-argument behavior.
-//
-// Engine semantics: round-homogeneous transitions (trial/commit protocols
-// whose non-fixpoint nodes change state every round) may run with the
-// user's frontier setting; transitions keyed on the global round number
-// (class sweeps, KW offset schedules, bit peeling, per-forest proposal
-// slots) must re-step quiet nodes when their slot arrives, so they take
-// round_indexed_engine(), which clears the frontier flag but keeps the
-// worker count. Results are bit-identical either way; only legality of the
-// sparse-activation optimization differs.
 #pragma once
 
 #include <cstdint>
@@ -60,15 +51,6 @@ class LocalContext {
   /// thread_local vectors.
   ScratchArena& scratch() const { return ScratchArena::local(); }
 
-  /// Engine options for transitions keyed on the global round number:
-  /// frontier mode is unsound for those (a quiet node must still act when
-  /// its round slot arrives), so only the worker count is kept.
-  EngineOptions round_indexed_engine() const {
-    EngineOptions opts = engine_;
-    opts.frontier = false;
-    return opts;
-  }
-
   bool has_phase() const { return !stack_.empty(); }
 
   /// Innermost phase label. A phase must be active (primitives guarantee
@@ -87,9 +69,6 @@ class LocalContext {
       rounds += FaultInjector::global().on_phase_charge(phase());
     ledger_->charge(phase(), rounds, dilation);
   }
-
-  /// Charges wall-clock milliseconds to the innermost phase.
-  void charge_time(double ms) { ledger_->charge_time(phase(), ms); }
 
  private:
   friend class ScopedPhase;
@@ -135,21 +114,6 @@ class DefaultPhase {
  private:
   LocalContext& ctx_;
   bool pushed_;
-};
-
-/// RAII wall-clock timer charging to the phase active at construction.
-class ScopedContextTimer {
- public:
-  explicit ScopedContextTimer(LocalContext& ctx);
-  ~ScopedContextTimer();
-
-  ScopedContextTimer(const ScopedContextTimer&) = delete;
-  ScopedContextTimer& operator=(const ScopedContextTimer&) = delete;
-
- private:
-  LocalContext& ctx_;
-  std::string phase_;
-  std::int64_t start_ns_;
 };
 
 }  // namespace deltacolor

@@ -14,8 +14,6 @@ enum class MisStatus : std::uint8_t { kUndecided, kCandidate, kIn, kOut };
 struct MisState {
   MisStatus status = MisStatus::kUndecided;
   std::uint64_t draw = 0;
-
-  bool operator==(const MisState&) const = default;
 };
 
 }  // namespace
@@ -84,8 +82,6 @@ namespace {
 struct TrialState {
   Color color = kNoColor;   // committed color
   Color trial = kNoColor;   // this round's attempt
-
-  bool operator==(const TrialState&) const = default;
 };
 
 }  // namespace

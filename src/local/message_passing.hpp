@@ -9,9 +9,7 @@
 //
 // Both algorithms accept EngineOptions: results are bit-identical across
 // worker counts (per-node randomness keys on (seed, id, round), so the
-// schedule cannot leak in) and across frontier vs. full-sweep execution
-// (decided/committed nodes return their state unchanged, so the frontier
-// soundness condition holds). Wall-clock is charged to the ledger next to
+// schedule cannot leak in). Wall-clock is charged to the ledger next to
 // the round count (RoundLedger::charge_time).
 #pragma once
 

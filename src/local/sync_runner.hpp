@@ -1,5 +1,5 @@
 // Double-buffered synchronous execution engine for LOCAL-model node
-// programs, with optional multi-threaded stepping and sparse activation.
+// programs, with optional multi-threaded stepping.
 //
 // Fidelity contract: in round t, a node's transition function sees only its
 // own round-(t-1) state and the round-(t-1) states of its direct neighbors
@@ -9,30 +9,13 @@
 //
 // Execution engine. `run()` is a template over the step functor, so the
 // per-node call is devirtualized and inlined (no std::function in the hot
-// loop). Nodes are partitioned into contiguous chunks across a thread pool
-// each round; because every transition writes only its own slot of the
-// shadow buffer, the schedule cannot affect results — states are
-// bit-identical across worker counts and to the serial engine.
-//
-// Frontier mode (opt-in, EngineOptions::frontier) re-steps only nodes whose
-// *closed neighborhood* changed state in the previous round. This is sound
-// whenever the transition is a function of the closed neighborhood's
-// previous states (plus node identity and the global round number, provided
-// quiesced states are fixpoints for every later round — true for all
-// engine algorithms in this library, whose decided/committed nodes return
-// their state unchanged regardless of the round). Unchanged closed
-// neighborhood => unchanged output, so skipped nodes already hold the right
-// state. Many phases (color trials, MIS elimination, color reduction)
-// quiesce region-by-region, so late rounds touch a small frontier; round
-// counts and fixpoints are identical to full sweeps. The engine is
-// adaptive: while the changed set is wide it keeps sweeping everyone
-// (list bookkeeping would cost more than it saves) and drops to the
-// sparse active list once the frontier shrinks below a degree-aware
-// cutoff, switching back if it re-widens.
+// loop). Every round steps every node; nodes are partitioned into
+// contiguous chunks across a thread pool, and because every transition
+// writes only its own slot of the shadow buffer, the schedule cannot affect
+// results — states are bit-identical across worker counts and to the
+// serial engine.
 #pragma once
 
-#include <algorithm>
-#include <concepts>
 #include <cstdint>
 #include <functional>
 #include <span>
@@ -50,16 +33,11 @@ namespace deltacolor {
 
 /// Execution options for SyncRunner (and the engine algorithms built on
 /// it). The defaults reproduce the library-wide default worker count
-/// (DELTACOLOR_THREADS / hardware_concurrency) with full sweeps.
+/// (DELTACOLOR_THREADS / hardware_concurrency).
 struct EngineOptions {
   /// Worker threads stepping nodes each round. 0 = library default
   /// (ThreadPool::default_workers()), 1 = serial in the calling thread.
   int num_threads = 0;
-  /// Re-step only nodes whose closed neighborhood changed last round.
-  /// Requires State to be equality-comparable; results and round counts
-  /// are identical to full sweeps (see header comment for the soundness
-  /// argument).
-  bool frontier = false;
 };
 
 /// `GraphT` is any type modeling the GraphView concept (graph_view.hpp):
@@ -155,15 +133,18 @@ class SyncRunner {
   template <typename StepFn, typename DoneFn>
   int run(int max_rounds, StepFn&& step, DoneFn&& done) {
     int rounds = 0;
-    if (options_.frontier) {
-      if constexpr (std::equality_comparable<State>) {
-        rounds = run_frontier(max_rounds, step, done);
-      } else {
-        DC_CHECK_MSG(false,
-                     "frontier mode requires an equality-comparable State");
-      }
-    } else {
-      rounds = run_full(max_rounds, step, done);
+    while (rounds < max_rounds && !done(cur_)) {
+      if (FaultInjector::armed())
+        FaultInjector::global().on_engine_round(rounds);
+      const int r = rounds;
+      each_chunk([&](std::size_t begin, std::size_t end) {
+        for (std::size_t i = begin; i < end; ++i) {
+          const NodeId v = static_cast<NodeId>(i);
+          nxt_[v] = step(View(g_, v, cur_, r));
+        }
+      });
+      cur_.swap(nxt_);
+      ++rounds;
     }
     return rounds;
   }
@@ -199,191 +180,49 @@ class SyncRunner {
   /// schedule-independent like regular rounds.
   template <typename Fn>
   void mutate_states(Fn&& fn) {
-    each_chunk(cur_.size(), [&](int, std::size_t begin, std::size_t end) {
+    each_chunk([&](std::size_t begin, std::size_t end) {
       for (std::size_t i = begin; i < end; ++i)
         cur_[i] = fn(std::move(cur_[i]));
     });
   }
 
  private:
-  template <typename StepFn, typename DoneFn>
-  int run_full(int max_rounds, StepFn& step, DoneFn& done) {
-    const NodeId n = g_.num_nodes();
-    int rounds = 0;
-    while (rounds < max_rounds && !done(cur_)) {
-      if (FaultInjector::armed())
-        FaultInjector::global().on_engine_round(rounds);
-      const int r = rounds;
-      each_chunk(n, [&](int, std::size_t begin, std::size_t end) {
-        for (std::size_t i = begin; i < end; ++i) {
-          const NodeId v = static_cast<NodeId>(i);
-          nxt_[v] = step(View(g_, v, cur_, r));
-        }
-      });
-      cur_.swap(nxt_);
-      ++rounds;
-    }
-    return rounds;
-  }
-
-  template <typename StepFn, typename DoneFn>
-  int run_frontier(int max_rounds, StepFn& step, DoneFn& done) {
-    const NodeId n = g_.num_nodes();
-    changed_.assign(n, 0);
-    queued_.assign(n, 0);
-    // Cost model: a sparse round pays ~deg+1 per active node to step plus
-    // ~deg+1 per changed node to rebuild the frontier; a dense round pays
-    // ~deg+1 per node with no list bookkeeping. Sparse activation only
-    // wins once the changed set is well below n / (avg_deg + 2), so the
-    // engine runs dense sweeps while the frontier is wide and switches to
-    // the sparse list once it shrinks (re-widening switches back). Both
-    // round kinds are bit-identical in outcome; only the schedule differs.
-    std::size_t avg_deg_plus_2 = 2;
-    if constexpr (requires(const GraphT& g) { g.num_edges(); }) {
-      if (n != 0) avg_deg_plus_2 = 2 * g_.num_edges() / n + 2;
-    } else {
-      // Lazy views expose no global edge count; the max degree is a
-      // conservative stand-in (cutoff only tunes when sparse mode kicks
-      // in, never results).
-      avg_deg_plus_2 = static_cast<std::size_t>(g_.max_degree()) + 2;
-    }
-    const std::size_t sparse_cutoff =
-        std::max<std::size_t>(1, n / (2 * avg_deg_plus_2));
-    std::vector<NodeId> active, next_active;
-    bool dense = true;  // the first sweep steps everyone
-    // Dense-round bookkeeping is single-pass: each worker appends the
-    // changed nodes of its own contiguous chunk to a private list while it
-    // steps them, so no post-round O(n) count or rebuild scan runs. After
-    // the barrier the list sizes are reduced for the cutoff test, and on a
-    // dense -> sparse transition the lists are concatenated in chunk order
-    // — chunks are ascending contiguous node ranges, so the concatenation
-    // is exactly the ascending scan order the rebuild pass produced, and
-    // the active list (hence every later round) is bit-identical.
-    chunk_changed_.resize(
-        pool_ == nullptr ? 1 : static_cast<std::size_t>(pool_->num_workers()));
-
-    // Invariant at the top of each SPARSE round: for every node NOT on the
-    // active list, nxt_[v] == cur_[v] (its state cannot change, and the
-    // shadow slot already agrees). A dense round establishes it — every
-    // shadow slot is written, and unchanged nodes get equal values — and
-    // sparse rounds preserve it because a node whose step output differs
-    // from its previous state is in its own closed neighborhood and
-    // therefore re-activated.
-    int rounds = 0;
-    while (rounds < max_rounds && !done(cur_)) {
-      if (FaultInjector::armed())
-        FaultInjector::global().on_engine_round(rounds);
-      const int r = rounds;
-      if (dense) {
-        for (auto& list : chunk_changed_) list.clear();
-        each_chunk(n, [&](int worker, std::size_t begin, std::size_t end) {
-          auto& changed_here = chunk_changed_[static_cast<std::size_t>(worker)];
-          for (std::size_t i = begin; i < end; ++i) {
-            const NodeId v = static_cast<NodeId>(i);
-            State s = step(View(g_, v, cur_, r));
-            if (!(s == cur_[v])) changed_here.push_back(v);
-            nxt_[v] = std::move(s);
-          }
-        });
-        cur_.swap(nxt_);
-        std::size_t changed_count = 0;
-        for (const auto& list : chunk_changed_) changed_count += list.size();
-        if (changed_count <= sparse_cutoff) {
-          next_active.clear();
-          for (const auto& list : chunk_changed_)
-            next_active.insert(next_active.end(), list.begin(), list.end());
-          expand_frontier(next_active, active);
-          dense = false;
-        }
-      } else if (!active.empty()) {
-        each_chunk(active.size(),
-                   [&](int, std::size_t begin, std::size_t end) {
-                     for (std::size_t i = begin; i < end; ++i) {
-                       const NodeId v = active[i];
-                       State s = step(View(g_, v, cur_, r));
-                       changed_[v] = !(s == cur_[v]);
-                       nxt_[v] = std::move(s);
-                     }
-                   });
-        cur_.swap(nxt_);
-        next_active.clear();
-        for (const NodeId v : active)
-          if (changed_[v]) next_active.push_back(v);
-        if (next_active.size() > sparse_cutoff) {
-          dense = true;  // frontier re-widened; sweep everyone again
-        } else {
-          expand_frontier(next_active, active);
-        }
-      }
-      ++rounds;
-    }
-    return rounds;
-  }
-
-  /// CSR reverse scan: in an undirected graph the nodes whose view of the
-  /// last round included a changed node are exactly the changed nodes'
-  /// closed neighborhoods. `queued_` dedups; `out` is rebuilt in place.
-  void expand_frontier(const std::vector<NodeId>& changed,
-                       std::vector<NodeId>& out) {
-    out.clear();
-    for (const NodeId v : changed) {
-      if (!queued_[v]) {
-        queued_[v] = 1;
-        out.push_back(v);
-      }
-      g_.for_each_neighbor(v, [&](NodeId u) {
-        if (!queued_[u]) {
-          queued_[u] = 1;
-          out.push_back(u);
-        }
-      });
-    }
-    for (const NodeId v : out) queued_[v] = 0;
-  }
-
-  /// Runs fn(worker, begin, end) over contiguous chunks of [0, size), one
-  /// per worker (worker 0 owns the whole range when serial, i.e. when
-  /// options_.num_threads == 1). The worker index is for worker-private
-  /// bookkeeping only (e.g. dense-round changed lists); results must not
-  /// depend on it. Each worker's ScratchArena is reset before its chunk:
-  /// round-local scratch carved by step kernels never survives into the
-  /// next round (arena.hpp contract), and the reset is free once arenas
-  /// are warm.
+  /// Runs fn(begin, end) over contiguous chunks of [0, n), one per worker
+  /// (the whole range in the calling thread when serial, i.e. when
+  /// options_.num_threads == 1). Each worker's ScratchArena is reset
+  /// before its chunk: round-local scratch carved by step kernels never
+  /// survives into the next round (arena.hpp contract), and the reset is
+  /// free once arenas are warm.
   template <typename ChunkFn>
-  void each_chunk(std::size_t size, ChunkFn&& fn) {
+  void each_chunk(ChunkFn&& fn) {
+    const std::size_t n = g_.num_nodes();
     if (pool_ == nullptr || pool_->num_workers() == 1) {
       ScratchArena::local().reset();
-      fn(0, std::size_t{0}, size);
+      fn(std::size_t{0}, n);
       return;
     }
-    // Full sweeps over the host graph run on *stable* degree-balanced
-    // chunk bounds: every round hands worker w the same node range, so the
+    const auto chunk = [&](int, std::size_t begin, std::size_t end) {
+      ScratchArena::local().reset();
+      fn(begin, end);
+    };
+    // Sweeps over the host graph run on *stable* degree-balanced chunk
+    // bounds: every round hands worker w the same node range, so the
     // CSR/state pages a worker faulted in (first touch) stay its own, and
     // skewed-degree graphs don't leave the high-degree stripe's worker as
     // the round's straggler. Bounds depend only on the degree sequence and
     // worker count — chunks stay contiguous ascending ranges, so results
-    // (and the dense-round changed-list concatenation order) are
-    // bit-identical to uniform striping.
-    if (size == g_.num_nodes() && size > 0) {
-      if constexpr (requires(const GraphT& g, NodeId v) {
-                      g.neighbors(v);
-                      g.num_edges();
-                    }) {
+    // are bit-identical to uniform striping.
+    if constexpr (requires(const GraphT& g, NodeId v) {
+                    g.neighbors(v);
+                    g.num_edges();
+                  }) {
+      if (n > 0) {
         if (chunk_bounds_.empty()) compute_chunk_bounds();
-        pool_->for_chunks(
-            chunk_bounds_,
-            [&](int worker, std::size_t begin, std::size_t end) {
-              ScratchArena::local().reset();
-              fn(worker, begin, end);
-            });
+        pool_->for_chunks(chunk_bounds_, chunk);
         return;
       }
     }
-    pool_->for_range(0, size,
-                     [&](int worker, std::size_t begin, std::size_t end) {
-                       ScratchArena::local().reset();
-                       fn(worker, begin, end);
-                     });
+    pool_->for_range(0, n, chunk);
   }
 
   /// Degree-balanced 64-node-aligned chunk bounds over [0, n): worker w
@@ -403,14 +242,8 @@ class SyncRunner {
   ThreadPool* pool_ = nullptr;
   std::vector<State> cur_;
   std::vector<State> nxt_;
-  std::vector<std::uint8_t> changed_;  // frontier: state changed last round
-  std::vector<std::uint8_t> queued_;   // frontier: dedup for the next list
-  // Dense rounds: per-worker changed-node lists (ascending within each
-  // worker's contiguous chunk), concatenated in chunk order on a
-  // dense -> sparse transition.
-  std::vector<std::vector<NodeId>> chunk_changed_;
-  // Full sweeps: stable degree-balanced worker chunk bounds (see
-  // compute_chunk_bounds); empty until the first full sweep needs them.
+  // Stable degree-balanced worker chunk bounds (see compute_chunk_bounds);
+  // empty until the first parallel sweep needs them.
   std::vector<std::size_t> chunk_bounds_;
 };
 

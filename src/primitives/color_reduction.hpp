@@ -52,9 +52,8 @@ LinialResult kw_reduce(const ViewT& view, std::vector<Color> color,
   LinialResult res;
 
   // The transition is keyed on the round number (which color is being
-  // eliminated), so quiet nodes must still step on their slot: frontier off.
-  SyncRunner<Color, ViewT> runner(view, std::move(color),
-                                  ctx.round_indexed_engine());
+  // eliminated).
+  SyncRunner<Color, ViewT> runner(view, std::move(color), ctx.engine());
   std::atomic<bool> failed{false};
 
   int k = num_colors;

@@ -16,10 +16,7 @@ int lowest_differing_bit(std::uint64_t a, std::uint64_t b) {
 }
 
 /// Lazy parent-pointer view: each node's only visible neighbor is its
-/// parent. The adjacency is *asymmetric* (children are invisible), so the
-/// engine's frontier expansion — which follows view edges — cannot reach
-/// the dependents of a changed node; forest runs always disable frontier
-/// mode via round_indexed_engine().
+/// parent. The adjacency is *asymmetric* (children are invisible).
 struct ParentPointerView {
   const std::vector<NodeId>* parent;
   const std::vector<std::uint64_t>* ids;
@@ -41,7 +38,6 @@ struct ParentPointerView {
 struct ShiftState {
   std::uint64_t color = 0;
   std::uint64_t pre = 0;
-  bool operator==(const ShiftState&) const = default;
 };
 
 }  // namespace
@@ -63,8 +59,7 @@ ForestColoringResult forest_3_coloring(const std::vector<NodeId>& parent,
   const ParentPointerView view{&parent, &ids};
 
   // Cole-Vishkin reduction until the palette stabilizes at {0..5}.
-  SyncRunner<std::uint64_t, ParentPointerView> cv(
-      view, ids, ctx.round_indexed_engine());
+  SyncRunner<std::uint64_t, ParentPointerView> cv(view, ids, ctx.engine());
   const auto cv_step = [&](const auto& v) -> std::uint64_t {
     const std::uint64_t mine = v.self();
     const std::uint64_t other = parent[v.node()] == kNoNode
@@ -89,7 +84,7 @@ ForestColoringResult forest_3_coloring(const std::vector<NodeId>& parent,
     for (std::size_t v = 0; v < n; ++v) elim_initial[v].color = colors[v];
   }
   SyncRunner<ShiftState, ParentPointerView> elim(
-      view, std::move(elim_initial), ctx.round_indexed_engine());
+      view, std::move(elim_initial), ctx.engine());
   const auto elim_step = [&](const auto& v) -> ShiftState {
     ShiftState s = v.self();
     const NodeId p = parent[v.node()];

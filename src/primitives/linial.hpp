@@ -70,10 +70,8 @@ LinialResult linial_reduce(const ViewT& view,
   const int max_degree = view.max_degree();
 
   // Every stage is one engine round; the transition depends on the stage
-  // field (q, d), which changes between run() calls, so the frontier
-  // optimization does not apply (worker count still does).
-  SyncRunner<std::uint64_t, ViewT> runner(view, initial,
-                                          ctx.round_indexed_engine());
+  // field (q, d), which changes between run() calls.
+  SyncRunner<std::uint64_t, ViewT> runner(view, initial, ctx.engine());
   std::atomic<bool> failed{false};
 
   // One stage = one engine round with stage-specific (q, d); the step

@@ -101,7 +101,7 @@ int deg_plus_one_list_color(const Graph& g, const NodeMask& active,
   std::vector<Color> class_of(g.num_nodes(), -1);
   for (NodeId i = 0; i < sub.num_nodes(); ++i)
     class_of[sub.orig_of(i)] = lin.color[i];
-  SyncRunner<Color> runner(g, color, ctx.round_indexed_engine());
+  SyncRunner<Color> runner(g, color, ctx.engine());
   std::atomic<bool> failed{false};
   const auto step = [&class_of, &lists, width,
                      &failed](const auto& v) -> Color {
@@ -134,7 +134,6 @@ namespace {
 struct TrialState {
   Color color = kNoColor;
   Color trial = kNoColor;
-  bool operator==(const TrialState&) const = default;
 };
 
 }  // namespace
@@ -149,10 +148,7 @@ int deg_plus_one_list_color_randomized(const Graph& g, const NodeMask& active,
   const int width = palette_width(lists, color);
   const int max_iterations = 64 * (32 - __builtin_clz(g.num_nodes() + 2));
 
-  // One iteration = 2 engine rounds: trial (2t) then commit (2t+1). A
-  // pending node's state flips every round (trial set, then cleared), and
-  // decided/inactive nodes are fixpoints, so the user's frontier setting is
-  // sound here and the sweep shrinks with the pending set.
+  // One iteration = 2 engine rounds: trial (2t) then commit (2t+1).
   std::vector<TrialState> initial(g.num_nodes());
   for (NodeId v = 0; v < g.num_nodes(); ++v) initial[v].color = color[v];
   SyncRunner<TrialState> runner(g, std::move(initial), ctx.engine());

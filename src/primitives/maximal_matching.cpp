@@ -44,8 +44,7 @@ std::vector<bool> maximal_matching_deterministic(const Graph& g,
   }
 
   SyncRunner<std::uint8_t, LineGraphView> runner(
-      line, std::vector<std::uint8_t>(g.num_edges(), 0),
-      ctx.round_indexed_engine());
+      line, std::vector<std::uint8_t>(g.num_edges(), 0), ctx.engine());
   const auto step = [&](const auto& e) -> std::uint8_t {
     if (e.self()) return 1;
     if (ec.color[e.node()] != e.round()) return 0;
@@ -72,7 +71,6 @@ struct PrState {
   NodeId proposal = kNoNode;  ///< forest parent this node proposed to
   NodeId accepted = kNoNode;  ///< smallest-id proposer this parent accepted
   EdgeId matched_edge = kNoEdge;
-  bool operator==(const PrState&) const = default;
 };
 
 }  // namespace
@@ -125,10 +123,9 @@ std::vector<bool> maximal_matching_pr(const Graph& g, LocalContext& ctx) {
   // propose (free class-c nodes point at their free forest parent), accept
   // (a parent picks its smallest-identifier proposer), commit (both sides
   // fold the handshake into their state — bookkeeping, not an extra
-  // message, hence the 2-rounds-per-class charge below). The slot schedule
-  // is round-indexed, so frontier mode is off.
+  // message, hence the 2-rounds-per-class charge below).
   SyncRunner<PrState> runner(g, std::vector<PrState>(g.num_nodes()),
-                             ctx.round_indexed_engine());
+                             ctx.engine());
   const auto step = [&parent_in, &parent_edge, &forest_color,
                      &g](const auto& v) -> PrState {
     PrState s = v.self();
@@ -190,7 +187,6 @@ struct RandMatchState {
   std::uint8_t matched = 0;
   NodeId proposal = kNoNode;
   EdgeId proposal_edge = kNoEdge;
-  bool operator==(const RandMatchState&) const = default;
 };
 
 }  // namespace
@@ -203,10 +199,7 @@ std::vector<bool> maximal_matching_randomized(const Graph& g,
   const int max_rounds = 64 * (32 - __builtin_clz(g.num_nodes() + 2));
 
   // One iteration = 2 engine rounds: propose (2t), then mutual-proposal
-  // match (2t+1). A free node with free neighbors changes state every
-  // round (proposal set, then cleared or frozen), and matched nodes /
-  // isolated-free nodes are fixpoints, so the user's frontier setting is
-  // sound and the sweep shrinks with the free subgraph.
+  // match (2t+1).
   SyncRunner<RandMatchState> runner(
       g, std::vector<RandMatchState>(g.num_nodes()), ctx.engine());
   const auto step = [&](const auto& v) -> RandMatchState {

@@ -18,8 +18,7 @@ std::vector<bool> mis_deterministic(const Graph& g, LocalContext& ctx) {
   // already did. Same-class nodes are non-adjacent, so simultaneous joins
   // are safe and the double-buffered engine matches the sequential sweep.
   SyncRunner<std::uint8_t> runner(
-      g, std::vector<std::uint8_t>(g.num_nodes(), 0),
-      ctx.round_indexed_engine());
+      g, std::vector<std::uint8_t>(g.num_nodes(), 0), ctx.engine());
   const std::vector<Color>& color = lin.color;
   const auto step = [&color](const auto& v) -> std::uint8_t {
     if (v.self()) return 1;
@@ -50,24 +49,21 @@ enum LubyStatus : std::uint8_t {
 struct LubyState {
   std::uint8_t status = kLubyUndecided;
   std::uint64_t draw = 0;
-  bool operator==(const LubyState&) const = default;
 };
 
 }  // namespace
 
 std::vector<bool> mis_luby(const Graph& g, LocalContext& ctx) {
   DefaultPhase scope(ctx, "mis-luby");
-  ScopedContextTimer timer(ctx);
+  ScopedPhaseTimer timer(ctx.ledger(), ctx.phase());
   const NodeId n = g.num_nodes();
   const std::uint64_t seed = ctx.seed();
   const int max_iterations = 64 * (32 - __builtin_clz(n + 2));
 
   // One Luby iteration = 3 engine rounds: draw (3t), join (3t+1),
   // eliminate (3t+2). The transition is keyed on round % 3 and the draw on
-  // round / 3, so frontier mode is off (a quiet candidate must still see
-  // its elimination round).
-  SyncRunner<LubyState> runner(g, std::vector<LubyState>(n),
-                               ctx.round_indexed_engine());
+  // round / 3.
+  SyncRunner<LubyState> runner(g, std::vector<LubyState>(n), ctx.engine());
   const auto step = [seed, &g](const auto& v) -> LubyState {
     LubyState s = v.self();
     if (s.status == kLubyIn || s.status == kLubyOut) return s;

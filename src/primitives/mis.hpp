@@ -3,10 +3,9 @@
 // (O(log n) rounds w.h.p.) [Gha16-role].
 //
 // Both are stepped through the SyncRunner engine via LocalContext: the
-// class sweep runs one engine round per color class (round-indexed, so
-// frontier mode is off), Luby runs a 3-round draw/join/eliminate protocol
-// per iteration. Results are bit-identical to the sequential reference at
-// any worker count.
+// class sweep runs one engine round per color class, Luby runs a 3-round
+// draw/join/eliminate protocol per iteration. Results are bit-identical to
+// the sequential reference at any worker count.
 #pragma once
 
 #include <string>

@@ -1,7 +1,6 @@
 #include "randomized/randomized_coloring.hpp"
 
 #include <algorithm>
-#include <chrono>
 #include <cmath>
 #include <map>
 #include <queue>
@@ -84,7 +83,7 @@ RandomizedResult randomized_delta_color(const Graph& g,
     return compute_acd(g, res.ledger, options.acd);
   }();
   res.dense = acd.is_dense();
-  DC_CHECK_MSG(res.dense, "input graph is not dense (Definition 4)");
+  require_dense(acd);
   LoopholeSet loopholes = [&] {
     ScopedPhaseTimer timer(res.ledger, "loopholes");
     return find_loopholes_dense(g, acd, res.ledger);
@@ -109,64 +108,58 @@ RandomizedResult randomized_delta_color(const Graph& g,
   // three triad vertices would forbid neighboring cliques entirely.
   NodeMask slack_used(g.num_nodes(), 0);
   NodeMask pair_blocked(g.num_nodes(), 0);
-  auto phase_t0 = std::chrono::steady_clock::now();
-  const auto end_phase = [&](const char* phase) {
-    res.ledger.charge_time(
-        phase, std::chrono::duration<double, std::milli>(
-                   std::chrono::steady_clock::now() - phase_t0)
-                   .count());
-    phase_t0 = std::chrono::steady_clock::now();
-  };
-  for (int round = 0; round < options.placement_rounds; ++round) {
-    // Random processing priority simulates the local conflict resolution.
-    std::vector<std::pair<std::uint64_t, int>> order;
-    for (const int c : hard_acs)
-      if (!placed[static_cast<std::size_t>(c)])
-        order.emplace_back(hash_mix(options.seed, c, round), c);
-    std::sort(order.begin(), order.end());
-    for (const auto& [prio, c] : order) {
-      const auto& members = acd.cliques[static_cast<std::size_t>(c)];
-      for (int attempt = 0; attempt < 20; ++attempt) {
-        const NodeId u = members[rng.below(members.size())];
-        if (slack_used[u] || res.color[u] != kNoColor) continue;
-        // External neighbor of u, not a loophole member (its easy clique
-        // must keep its loophole intact), unblocked, uncolored.
-        std::vector<NodeId> ext;
-        for (const NodeId x : g.neighbors(u))
-          if (acd.clique_of[x] != c && !pair_blocked[x] && !slack_used[x] &&
-              res.color[x] == kNoColor && !loopholes.vertex_in_loophole(x))
-            ext.push_back(x);
-        if (ext.empty()) continue;
-        const NodeId w = ext[rng.below(ext.size())];
-        // Pair partner inside the clique, non-adjacent to w.
-        std::vector<NodeId> inner;
-        for (const NodeId x : members)
-          if (x != u && !pair_blocked[x] && !slack_used[x] &&
-              res.color[x] == kNoColor && g.has_edge(u, x) &&
-              !g.has_edge(x, w))
-            inner.push_back(x);
-        if (inner.empty()) continue;
-        const NodeId v = inner[rng.below(inner.size())];
-        // Pair independence: all pairs share kTnodeColor, so neither v nor
-        // w may touch an existing pair vertex.
-        bool clash = false;
-        for (const NodeId x : {v, w})
-          for (const NodeId y : g.neighbors(x))
-            if (res.color[y] == kTnodeColor) clash = true;
-        if (clash) continue;
-        res.color[v] = kTnodeColor;
-        res.color[w] = kTnodeColor;
-        triad_of_clique[static_cast<std::size_t>(c)] = Triad{u, v, w};
-        placed[static_cast<std::size_t>(c)] = 1;
-        slack_used[u] = 1;
-        mark_ball(g, v, options.spacing, pair_blocked);
-        mark_ball(g, w, options.spacing, pair_blocked);
-        break;
+  {
+    ScopedPhaseTimer timer(res.ledger, "rand-preshattering");
+    for (int round = 0; round < options.placement_rounds; ++round) {
+      // Random processing priority simulates the local conflict resolution.
+      std::vector<std::pair<std::uint64_t, int>> order;
+      for (const int c : hard_acs)
+        if (!placed[static_cast<std::size_t>(c)])
+          order.emplace_back(hash_mix(options.seed, c, round), c);
+      std::sort(order.begin(), order.end());
+      for (const auto& [prio, c] : order) {
+        const auto& members = acd.cliques[static_cast<std::size_t>(c)];
+        for (int attempt = 0; attempt < 20; ++attempt) {
+          const NodeId u = members[rng.below(members.size())];
+          if (slack_used[u] || res.color[u] != kNoColor) continue;
+          // External neighbor of u, not a loophole member (its easy clique
+          // must keep its loophole intact), unblocked, uncolored.
+          std::vector<NodeId> ext;
+          for (const NodeId x : g.neighbors(u))
+            if (acd.clique_of[x] != c && !pair_blocked[x] && !slack_used[x] &&
+                res.color[x] == kNoColor && !loopholes.vertex_in_loophole(x))
+              ext.push_back(x);
+          if (ext.empty()) continue;
+          const NodeId w = ext[rng.below(ext.size())];
+          // Pair partner inside the clique, non-adjacent to w.
+          std::vector<NodeId> inner;
+          for (const NodeId x : members)
+            if (x != u && !pair_blocked[x] && !slack_used[x] &&
+                res.color[x] == kNoColor && g.has_edge(u, x) &&
+                !g.has_edge(x, w))
+              inner.push_back(x);
+          if (inner.empty()) continue;
+          const NodeId v = inner[rng.below(inner.size())];
+          // Pair independence: all pairs share kTnodeColor, so neither v nor
+          // w may touch an existing pair vertex.
+          bool clash = false;
+          for (const NodeId x : {v, w})
+            for (const NodeId y : g.neighbors(x))
+              if (res.color[y] == kTnodeColor) clash = true;
+          if (clash) continue;
+          res.color[v] = kTnodeColor;
+          res.color[w] = kTnodeColor;
+          triad_of_clique[static_cast<std::size_t>(c)] = Triad{u, v, w};
+          placed[static_cast<std::size_t>(c)] = 1;
+          slack_used[u] = 1;
+          mark_ball(g, v, options.spacing, pair_blocked);
+          mark_ball(g, w, options.spacing, pair_blocked);
+          break;
+        }
       }
+      res.ledger.charge("rand-preshattering", 2 * options.spacing + 3);
     }
-    res.ledger.charge("rand-preshattering", 2 * options.spacing + 3);
   }
-  end_phase("rand-preshattering");
   validate_partial_coloring(g, res.color, "rand-preshattering",
                             options.validate);
   for (const int c : hard_acs)
@@ -181,6 +174,7 @@ RandomizedResult randomized_delta_color(const Graph& g,
   // form the shattered components.
   std::vector<int> layer(g.num_nodes(), -1);
   {
+    ScopedPhaseTimer timer(res.ledger, "rand-layering");
     std::queue<NodeId> q;
     for (const int c : hard_acs) {
       if (!placed[static_cast<std::size_t>(c)]) continue;
@@ -201,7 +195,6 @@ RandomizedResult randomized_delta_color(const Graph& g,
       }
     }
     res.ledger.charge("rand-layering", options.layer_depth + 1);
-    end_phase("rand-layering");
   }
 
   // ----------------------------------------------------- Post-shattering
@@ -209,6 +202,7 @@ RandomizedResult randomized_delta_color(const Graph& g,
   // each colored by the modified deterministic pipeline. Components are
   // independent, so the (parallel) round cost is the maximum.
   {
+    ScopedPhaseTimer timer(res.ledger, "rand-postshattering");
     std::vector<int> comp_of(g.num_nodes(), -1);
     int num_comp = 0;
     std::vector<std::vector<NodeId>> comp_nodes_list;
@@ -369,7 +363,6 @@ RandomizedResult randomized_delta_color(const Graph& g,
     }
     res.stats.max_component_rounds = static_cast<int>(max_comp_rounds);
     res.ledger.charge("rand-postshattering", max_comp_rounds);
-    end_phase("rand-postshattering");
     validate_partial_coloring(g, res.color, "rand-postshattering",
                               options.validate);
   }
@@ -379,26 +372,30 @@ RandomizedResult randomized_delta_color(const Graph& g,
   // uncolored layer-(i-1) neighbor as slack), slack vertices last (their
   // same-colored pair grants permanent slack); then easy cliques and
   // loopholes (Algorithm 3).
-  const auto full_lists = uniform_lists(g, delta);
-  for (int l = options.layer_depth; l >= 1; --l) {
-    NodeMask active(g.num_nodes(), 0);
-    for (NodeId v = 0; v < g.num_nodes(); ++v)
-      active[v] = layer[v] == l && res.color[v] == kNoColor;
-    ScopedPhase phase(lctx, "rand-postprocessing");
-    deg_plus_one_list_color(g, active, full_lists, res.color, lctx);
-  }
   {
-    NodeMask active(g.num_nodes(), 0);
-    for (NodeId v = 0; v < g.num_nodes(); ++v)
-      active[v] = layer[v] == 0 && res.color[v] == kNoColor;
-    ScopedPhase phase(lctx, "rand-postprocessing");
-    deg_plus_one_list_color(g, active, full_lists, res.color, lctx);
+    ScopedPhaseTimer timer(res.ledger, "rand-postprocessing");
+    const auto full_lists = uniform_lists(g, delta);
+    for (int l = options.layer_depth; l >= 1; --l) {
+      NodeMask active(g.num_nodes(), 0);
+      for (NodeId v = 0; v < g.num_nodes(); ++v)
+        active[v] = layer[v] == l && res.color[v] == kNoColor;
+      ScopedPhase phase(lctx, "rand-postprocessing");
+      deg_plus_one_list_color(g, active, full_lists, res.color, lctx);
+    }
+    {
+      NodeMask active(g.num_nodes(), 0);
+      for (NodeId v = 0; v < g.num_nodes(); ++v)
+        active[v] = layer[v] == 0 && res.color[v] == kNoColor;
+      ScopedPhase phase(lctx, "rand-postprocessing");
+      deg_plus_one_list_color(g, active, full_lists, res.color, lctx);
+    }
   }
-  end_phase("rand-postprocessing");
   validate_partial_coloring(g, res.color, "rand-postprocessing",
                             options.validate);
-  color_easy_and_loopholes(g, loopholes, res.color, lctx, "rand-easy");
-  end_phase("rand-easy");
+  {
+    ScopedPhaseTimer timer(res.ledger, "rand-easy");
+    color_easy_and_loopholes(g, loopholes, res.color, lctx, "rand-easy");
+  }
   validate_partial_coloring(g, res.color, "rand-easy", options.validate);
 
   if (options.verify || options.validate != ValidateMode::kOff) {

@@ -39,7 +39,7 @@ namespace deltacolor {
 struct RandomizedOptions {
   AcdParams acd;
   HardColoringParams hard;  ///< used for the post-shattering components
-  /// Execution-layer knobs (worker threads, frontier sweeps) threaded into
+  /// Execution-layer knobs (worker threads) threaded into
   /// every engine-stepped subroutine; results are bit-identical across
   /// settings.
   EngineOptions engine;

@@ -2,8 +2,8 @@
 // entry points, shared by the `dcolor` CLI and the bench harnesses so the
 // two never drift apart. Every entry accepts the same AlgorithmRequest
 // (seed + EngineOptions) and runs through the LocalContext execution
-// layer, so `--threads` / `--frontier` reach the nested SyncRunner stages
-// of every registered algorithm uniformly.
+// layer, so `--threads` reaches the nested SyncRunner stages of every
+// registered algorithm uniformly.
 #pragma once
 
 #include <cstdint>
@@ -22,7 +22,7 @@ namespace deltacolor {
 /// Uniform input to every registered algorithm.
 struct AlgorithmRequest {
   std::uint64_t seed = 1;
-  /// Worker threads / frontier mode for every engine-stepped stage.
+  /// Worker threads for every engine-stepped stage.
   /// Results are bit-identical across settings.
   EngineOptions engine;
   /// Opt-in validation oracle (dcolor --validate). The composed pipelines

@@ -222,16 +222,16 @@ TEST(EditDistance, TranspositionCostsTwo) {
 
 TEST(EditDistance, IsSymmetric) {
   const std::string_view words[] = {"", "det", "rand", "greedy", "ruling",
-                                    "--frontier", "process-kill"};
+                                    "--validate", "process-kill"};
   for (const std::string_view a : words)
     for (const std::string_view b : words)
       EXPECT_EQ(edit_distance(a, b), edit_distance(b, a)) << a << " " << b;
 }
 
 TEST(ClosestName, PicksTheNearestCandidate) {
-  constexpr std::string_view flags[] = {"--threads", "--frontier", "--repeat"};
+  constexpr std::string_view flags[] = {"--threads", "--validate", "--repeat"};
   EXPECT_EQ(closest_name("--thread", flags), "--threads");
-  EXPECT_EQ(closest_name("--fronteir", flags), "--frontier");
+  EXPECT_EQ(closest_name("--valdiate", flags), "--validate");
   EXPECT_EQ(closest_name("--repeat", flags), "--repeat");
 }
 
@@ -243,7 +243,7 @@ TEST(ClosestName, FirstCandidateWinsTies) {
 }
 
 TEST(ClosestName, NothingWithinThreeEditsIsNoHint) {
-  constexpr std::string_view flags[] = {"--threads", "--frontier"};
+  constexpr std::string_view flags[] = {"--threads", "--validate"};
   EXPECT_EQ(closest_name("--backend", flags), "");
   // Exactly three edits is still a plausible typo; four is not.
   constexpr std::string_view words[] = {"abcdefgh"};

@@ -2,13 +2,12 @@
 //  (a) the result on a fixed instance hashes to a pinned golden value —
 //      any change to RNG streams, round accounting, or schedules that
 //      leaks into results fails loudly here;
-//  (b) results are bit-identical across engine configurations
-//      ({1 worker, full sweep} x {8 workers} x {frontier}) — the
+//  (b) results are bit-identical across worker counts (1 and 8) — the
 //      SyncRunner fidelity contract, end to end through LocalContext for
 //      the composed pipelines, not just leaf primitives;
-//  (c) per algorithm, every uneven worker count (2, 3, 5, 7 workers, with
-//      and without frontier) still lands on the pinned hash, so chunk
-//      boundaries that split cliques differently cannot leak into results.
+//  (c) per algorithm, every uneven worker count (2, 3, 5, 7 workers)
+//      still lands on the pinned hash, so chunk boundaries that split
+//      cliques differently cannot leak into results.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -42,9 +41,9 @@ struct Golden {
   std::uint64_t hash;
 };
 
-// Pinned on hard_instance(32, 12, 5) with seed 7, serial full sweeps.
+// Pinned on hard_instance(32, 12, 5) with seed 7, serial engine.
 // Regenerate only for a deliberate semantic change (and say so in the
-// commit): run each registry entry with EngineOptions{1, false} and
+// commit): run each registry entry with EngineOptions{1} and
 // result_hash() above.
 constexpr Golden kGolden[] = {
     {"det", 0x0897fb0024162a79ULL},       // rounds=642
@@ -70,16 +69,16 @@ TEST(GoldenPrimitives, SerialResultsMatchPinnedHashes) {
   for (const Golden& golden : kGolden) {
     AlgorithmRequest req;
     req.seed = 7;
-    req.engine = {1, false};
+    req.engine = {1};
     const AlgorithmResult res = bench::run_registered(golden.name, g, req);
     EXPECT_TRUE(res.ok) << golden.name;
     EXPECT_EQ(result_hash(res), golden.hash) << golden.name;
   }
 }
 
-TEST(GoldenPrimitives, ResultsBitIdenticalAcrossWorkersAndFrontier) {
+TEST(GoldenPrimitives, ResultsBitIdenticalAcrossWorkers) {
   const Graph g = bench::hard_instance(32, 12, 5).graph;
-  const EngineOptions engines[] = {{1, false}, {8, false}, {8, true}};
+  const EngineOptions engines[] = {{1}, {8}};
   for (const Golden& golden : kGolden) {
     AlgorithmResult baseline;
     bool have_baseline = false;
@@ -96,8 +95,7 @@ TEST(GoldenPrimitives, ResultsBitIdenticalAcrossWorkersAndFrontier) {
         continue;
       }
       EXPECT_EQ(res.color, baseline.color)
-          << golden.name << " workers=" << engine.num_threads
-          << " frontier=" << engine.frontier;
+          << golden.name << " workers=" << engine.num_threads;
       EXPECT_EQ(res.in_set, baseline.in_set)
           << golden.name << " workers=" << engine.num_threads;
       EXPECT_EQ(res.ledger.total(), baseline.ledger.total())
@@ -116,15 +114,12 @@ TEST_P(UnevenWorkerCounts, MatchPinnedHash) {
   const Golden golden = GetParam();
   const Graph g = bench::hard_instance(32, 12, 5).graph;
   for (const int workers : {2, 3, 5, 7}) {
-    for (const bool frontier : {false, true}) {
-      AlgorithmRequest req;
-      req.seed = 7;
-      req.engine = {workers, frontier};
-      const AlgorithmResult res = bench::run_registered(golden.name, g, req);
-      EXPECT_TRUE(res.ok) << "workers=" << workers;
-      EXPECT_EQ(result_hash(res), golden.hash)
-          << "workers=" << workers << " frontier=" << frontier;
-    }
+    AlgorithmRequest req;
+    req.seed = 7;
+    req.engine = {workers};
+    const AlgorithmResult res = bench::run_registered(golden.name, g, req);
+    EXPECT_TRUE(res.ok) << "workers=" << workers;
+    EXPECT_EQ(result_hash(res), golden.hash) << "workers=" << workers;
   }
 }
 

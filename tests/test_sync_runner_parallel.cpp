@@ -1,10 +1,8 @@
-// Tests for the parallel sparse-activation execution engine:
+// Tests for the parallel execution engine:
 //  (a) states bit-identical across worker counts {1, 2, 8} and equal to an
 //      independent serial reference of the pre-change engine semantics, on
 //      Luby MIS and color-trial workloads;
-//  (b) frontier mode reaches the same fixpoint in the same number of
-//      rounds as full sweeps (odd cycle, clique blow-up);
-//  (c) RoundLedger wall-clock totals are monotone and merge per phase.
+//  (b) RoundLedger wall-clock totals are monotone and merge per phase.
 #include <gtest/gtest.h>
 
 #include <numeric>
@@ -171,15 +169,12 @@ TEST(SyncRunnerParallel, MisBitIdenticalAcrossWorkersAndReference) {
   for (const Graph& g : family()) {
     const auto expected = reference_mis(g, 55);
     for (const int workers : {1, 2, 8}) {
-      for (const bool frontier : {false, true}) {
-        RoundLedger ledger;
-        const auto got = mis_message_passing(
-            g, 55, ledger, "mis-mp", EngineOptions{workers, frontier});
-        EXPECT_EQ(got, expected)
-            << "n=" << g.num_nodes() << " workers=" << workers
-            << " frontier=" << frontier;
-        EXPECT_TRUE(is_maximal_independent_set(g, got));
-      }
+      RoundLedger ledger;
+      const auto got = mis_message_passing(g, 55, ledger, "mis-mp",
+                                           EngineOptions{workers});
+      EXPECT_EQ(got, expected)
+          << "n=" << g.num_nodes() << " workers=" << workers;
+      EXPECT_TRUE(is_maximal_independent_set(g, got));
     }
   }
 }
@@ -188,22 +183,19 @@ TEST(SyncRunnerParallel, ColorTrialBitIdenticalAcrossWorkersAndReference) {
   for (const Graph& g : family()) {
     const auto expected = reference_color_trial(g, 77);
     for (const int workers : {1, 2, 8}) {
-      for (const bool frontier : {false, true}) {
-        RoundLedger ledger;
-        const auto got = color_trial_message_passing(
-            g, 77, ledger, "trial", EngineOptions{workers, frontier});
-        EXPECT_EQ(got, expected)
-            << "n=" << g.num_nodes() << " workers=" << workers
-            << " frontier=" << frontier;
-        EXPECT_TRUE(is_proper_coloring(g, got, g.max_degree() + 1));
-      }
+      RoundLedger ledger;
+      const auto got = color_trial_message_passing(g, 77, ledger, "trial",
+                                                   EngineOptions{workers});
+      EXPECT_EQ(got, expected)
+          << "n=" << g.num_nodes() << " workers=" << workers;
+      EXPECT_TRUE(is_proper_coloring(g, got, g.max_degree() + 1));
     }
   }
 }
 
 TEST(SyncRunnerParallel, GenericStateBitIdenticalAcrossSchedules) {
   // A round-dependent, neighbor-dependent transition on a custom state:
-  // every schedule (worker count, frontier on/off) must produce the same
+  // every schedule (worker count) must produce the same
   // trajectory because writes are confined to the shadow buffer.
   struct S {
     std::uint64_t acc = 0;
@@ -223,55 +215,16 @@ TEST(SyncRunnerParallel, GenericStateBitIdenticalAcrossSchedules) {
   };
   auto never = [](const std::vector<S>&) { return false; };
 
-  SyncRunner<S> serial(g, std::vector<S>(300), EngineOptions{1, false});
+  SyncRunner<S> serial(g, std::vector<S>(300), EngineOptions{1});
   serial.run(40, step, never);
   for (const int workers : {2, 8}) {
-    SyncRunner<S> par(g, std::vector<S>(300),
-                      EngineOptions{workers, false});
+    SyncRunner<S> par(g, std::vector<S>(300), EngineOptions{workers});
     par.run(40, step, never);
     ASSERT_EQ(par.states().size(), serial.states().size());
     for (NodeId v = 0; v < 300; ++v)
       EXPECT_EQ(par.states()[v], serial.states()[v])
           << "workers=" << workers << " node=" << v;
   }
-}
-
-TEST(SyncRunnerFrontier, SameFixpointAndRoundsOnOddCycle) {
-  const Graph g = cycle_graph(101);
-  RoundLedger full, sparse;
-  const auto c_full = color_trial_message_passing(
-      g, 13, full, "trial", EngineOptions{1, false});
-  const auto c_sparse = color_trial_message_passing(
-      g, 13, sparse, "trial", EngineOptions{1, true});
-  EXPECT_EQ(c_full, c_sparse);
-  EXPECT_EQ(full.total(), sparse.total());
-
-  RoundLedger mfull, msparse;
-  const auto m_full =
-      mis_message_passing(g, 21, mfull, "mis", EngineOptions{1, false});
-  const auto m_sparse =
-      mis_message_passing(g, 21, msparse, "mis", EngineOptions{1, true});
-  EXPECT_EQ(m_full, m_sparse);
-  EXPECT_EQ(mfull.total(), msparse.total());
-}
-
-TEST(SyncRunnerFrontier, SameFixpointAndRoundsOnCliqueBlowup) {
-  const Graph g = bench::hard_instance(32, 12, 5).graph;
-  RoundLedger full, sparse;
-  const auto c_full = color_trial_message_passing(
-      g, 3, full, "trial", EngineOptions{1, false});
-  const auto c_sparse = color_trial_message_passing(
-      g, 3, sparse, "trial", EngineOptions{1, true});
-  EXPECT_EQ(c_full, c_sparse);
-  EXPECT_EQ(full.total(), sparse.total());
-
-  RoundLedger mfull, msparse;
-  const auto m_full =
-      mis_message_passing(g, 4, mfull, "mis", EngineOptions{4, false});
-  const auto m_sparse =
-      mis_message_passing(g, 4, msparse, "mis", EngineOptions{4, true});
-  EXPECT_EQ(m_full, m_sparse);
-  EXPECT_EQ(mfull.total(), msparse.total());
 }
 
 TEST(LedgerTime, TotalsAreMonotoneAndPhaseMerged) {

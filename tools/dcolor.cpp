@@ -22,8 +22,6 @@
 //                  pre-existing behavior for both formats
 //   --threads=N    worker threads for the round engine (also settable via
 //                  the DELTACOLOR_THREADS env var; default: all cores)
-//   --frontier     sparse activation: re-step only nodes whose closed
-//                  neighborhood changed last round (engine algorithms)
 //   --repeat=N     color only: run N seeds (seed, seed+1, ...) of the
 //                  algorithm over the shared instance as concurrent sweep
 //                  cells; print per-seed rounds and aggregate wall-clock
@@ -41,9 +39,11 @@
 // mistyped or retired flag never runs silently with its default.
 //
 // Exit codes: 0 success; 1 runtime failure (invalid result, quarantined
-// cells, engine error); 2 usage error / invalid flag combination;
-// 3 unreadable or malformed input file; 4 unknown algorithm or generator
-// family. Documented here and in `--help`.
+// cells, engine error); 2 usage error / invalid flag combination, or an
+// input outside the algorithm's regime (det/rand on a graph that is not
+// dense, Definition 4: one `not-dense` line naming the sparse-vertex
+// count); 3 unreadable or malformed input file; 4 unknown algorithm or
+// generator family. Documented here and in `--help`.
 //
 // Graphs are plain edge lists ("n m" header then "u v" per line) or binary
 // .dcsr containers (see graph/csr_file.hpp) — the format is sniffed from
@@ -95,25 +95,24 @@ int usage() {
          "<graph>; cached by file identity), --ids=auto|file|shuffled "
          "(LOCAL id source; auto = file ids for .dcsr, shuffled for text), "
          "--list (registered algorithms), --threads=N (engine "
-         "workers, 0 = auto; env DELTACOLOR_THREADS), --frontier (sparse "
-         "activation), --repeat=N (color: N seeds as sweep cells, "
-         "aggregate stats), --validate=off|end|phase (oracle mode: check "
+         "workers, 0 = auto; env DELTACOLOR_THREADS), --repeat=N (color: "
+         "N seeds as sweep cells, aggregate stats), "
+         "--validate=off|end|phase (oracle mode: check "
          "the final coloring / every pipeline phase boundary), --retries=N "
          "(repeat: attempts per seed before quarantine), --journal=PATH "
          "(repeat: JSONL checkpoint), --resume (skip seeds completed in "
          "the journal)\n"
          "exit codes: 0 success; 1 runtime failure (invalid result, "
-         "quarantined cells); 2 usage error or invalid flag combination; "
-         "3 unreadable or malformed input file; 4 unknown algorithm or "
-         "generator family\n";
+         "quarantined cells); 2 usage error, invalid flag combination, or "
+         "not-dense input to det/rand (Definition 4); 3 unreadable or "
+         "malformed input file; 4 unknown algorithm or generator family\n";
   return kExitUsage;
 }
 
 /// Every flag main() accepts, by name (the part before any '=').
 constexpr std::string_view kKnownFlags[] = {
-    "--list",    "--load",     "--ids",     "--threads", "--frontier",
-    "--repeat",  "--validate", "--retries", "--journal", "--resume",
-    "--help"};
+    "--list",     "--load",    "--ids",     "--threads", "--repeat",
+    "--validate", "--retries", "--journal", "--resume",  "--help"};
 
 /// A --flag main() does not know: one line naming it, with the closest
 /// known flag when one is a plausible typo, then the usage exit code.
@@ -134,7 +133,7 @@ int list_algorithms() {
   return 0;
 }
 
-EngineOptions g_engine;  // from --threads / --frontier
+EngineOptions g_engine;  // from --threads
 int g_repeat = 1;        // from --repeat=N
 ValidateMode g_validate = ValidateMode::kOff;  // from --validate=M
 int g_retries = 1;                             // from --retries=N
@@ -543,8 +542,6 @@ int main(int argc, char** argv) {
       // silently suggesting the flag had been applied.
       g_engine.num_threads = n;
       if (n > 0) ThreadPool::set_default_workers(n);
-    } else if (arg == "--frontier") {
-      g_engine.frontier = true;
     } else if (arg.rfind("--repeat=", 0) == 0) {
       g_repeat = std::atoi(arg.c_str() + 9);
       if (g_repeat < 1) {
@@ -621,13 +618,21 @@ int main(int argc, char** argv) {
             << (g_engine.num_threads == 0 ? std::string("auto")
                                           : std::to_string(
                                                 g_engine.num_threads))
-            << "), frontier=" << (g_engine.frontier ? "on" : "off")
-            << "\n";
+            << ")\n";
   const std::string cmd = argv[1];
   try {
     if (cmd == "gen") return cmd_gen(argc, argv);
     if (cmd == "color") return cmd_color(argc, argv);
     if (cmd == "check") return cmd_check(argc, argv);
+  } catch (const CellError& e) {
+    // A graph outside det/rand's regime is the caller's to fix, like a
+    // usage error; every other structured failure is a runtime failure.
+    if (e.category() == FaultCategory::kNotDense) {
+      std::cerr << "dcolor: " << e.what() << "\n";
+      return kExitUsage;
+    }
+    std::cerr << "error: " << e.what() << "\n";
+    return kExitFailure;
   } catch (const std::exception& e) {
     std::cerr << "error: " << e.what() << "\n";
     return kExitFailure;
