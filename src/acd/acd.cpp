@@ -11,26 +11,6 @@ namespace deltacolor {
 
 namespace {
 
-// |N(u) ∩ N(v)| for adjacent u, v via sorted-adjacency intersection.
-int common_neighbors(const Graph& g, NodeId u, NodeId v) {
-  const auto a = g.neighbors(u);
-  const auto b = g.neighbors(v);
-  int count = 0;
-  std::size_t i = 0, j = 0;
-  while (i < a.size() && j < b.size()) {
-    if (a[i] < b[j]) {
-      ++i;
-    } else if (a[i] > b[j]) {
-      ++j;
-    } else {
-      ++count;
-      ++i;
-      ++j;
-    }
-  }
-  return count;
-}
-
 int neighbors_in(const Graph& g, NodeId v, const std::vector<int>& clique_of,
                  int c) {
   int count = 0;
@@ -59,11 +39,25 @@ Acd compute_acd(const Graph& g, RoundLedger& ledger, const AcdParams& params,
   const double friend_threshold = (1.0 - eta) * delta;
   const double dense_threshold = (1.0 - eta) * delta;
 
-  // Round 1: mark friend edges; round 2: count friend neighbors.
-  std::vector<bool> friendly(g.num_edges(), false);
-  for (EdgeId e = 0; e < g.num_edges(); ++e) {
-    const auto [u, v] = g.endpoints(e);
-    friendly[e] = common_neighbors(g, u, v) >= friend_threshold;
+  // Round 1: mark friend edges; round 2: count friend neighbors. An edge
+  // uv is a friend edge when |N(u) ∩ N(v)| >= friend_threshold: stamp N(u)
+  // with u once, then count stamped nodes over N(v) for each neighbor
+  // v > u (each edge is decided once, from its lower endpoint).
+  std::vector<std::uint8_t> friendly(g.num_edges(), 0);
+  {
+    std::vector<NodeId> stamp(n, kNoNode);
+    for (NodeId u = 0; u < n; ++u) {
+      const auto nbrs = g.neighbors(u);
+      const auto inc = g.incident_edges(u);
+      for (const NodeId x : nbrs) stamp[x] = u;
+      for (std::size_t i = 0; i < nbrs.size(); ++i) {
+        if (nbrs[i] < u) continue;
+        int common = 0;
+        for (const NodeId x : g.neighbors(nbrs[i]))
+          if (stamp[x] == u) ++common;
+        friendly[inc[i]] = common >= friend_threshold;
+      }
+    }
   }
   std::vector<bool> dense(n, false);
   for (NodeId v = 0; v < n; ++v) {

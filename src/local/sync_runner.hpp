@@ -9,13 +9,16 @@
 //
 // Execution engine. `run()` is a template over the step functor, so the
 // per-node call is devirtualized and inlined (no std::function in the hot
-// loop). Every round steps every node; nodes are partitioned into
-// contiguous chunks across a thread pool, and because every transition
-// writes only its own slot of the shadow buffer, the schedule cannot affect
-// results — states are bit-identical across worker counts and to the
-// serial engine.
+// loop). A `run()` round steps every node; a `run_classes()` round steps
+// only the nodes of that round's class (schedule-driven sweeps, where every
+// other node would return its own state unchanged). Stepped nodes are
+// partitioned into contiguous chunks across a thread pool, and because
+// every transition writes only its own slot of the shadow buffer, the
+// schedule cannot affect results — states are bit-identical across worker
+// counts and to the serial engine.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <functional>
 #include <span>
@@ -162,13 +165,42 @@ class SyncRunner {
     });
   }
 
-  /// Runs exactly `max_rounds` rounds (schedule-driven stages: class
-  /// sweeps, KW offset schedules, bit peeling). Equivalent to run() with a
-  /// constant-false predicate.
+  /// Runs exactly `max_rounds` rounds (fixed-length stages where every node
+  /// may act: Linial stages, bit peeling, Cole-Vishkin shifts). Equivalent
+  /// to run() with a constant-false predicate.
   template <typename StepFn>
   int run_rounds(int max_rounds, StepFn&& step) {
     return run(max_rounds, step,
                [](const std::vector<State>&) { return false; });
+  }
+
+  /// Runs one round per class of a class-keyed schedule: round t steps
+  /// only the nodes `nodes[start[t] .. start[t+1])` (a CSR bucket, e.g.
+  /// from bucket_by_class) and commits only their slots; every other node
+  /// keeps its state. This equals run_rounds(start.size() - 1, step') where
+  /// step' returns v.self() for nodes outside round t's class, so a step
+  /// needs no "not my round" guard. A node must appear at most once per
+  /// bucket. View::round() is t, and the fault hook and arena reset run as
+  /// in run(). Returns the number of rounds, start.size() - 1 (empty
+  /// classes still take their round).
+  template <typename StepFn>
+  int run_classes(std::span<const std::size_t> start,
+                  std::span<const NodeId> nodes, StepFn&& step) {
+    const int rounds = start.empty() ? 0 : static_cast<int>(start.size()) - 1;
+    for (int t = 0; t < rounds; ++t) {
+      if (FaultInjector::armed())
+        FaultInjector::global().on_engine_round(t);
+      const std::size_t lo = start[t], hi = start[t + 1];
+      if (lo == hi) continue;
+      each_slice(lo, hi, [&](std::size_t begin, std::size_t end) {
+        for (std::size_t i = begin; i < end; ++i) {
+          const NodeId v = nodes[i];
+          nxt_[v] = step(View(g_, v, cur_, t));
+        }
+      });
+      for (std::size_t i = lo; i < hi; ++i) cur_[nodes[i]] = nxt_[nodes[i]];
+    }
+    return rounds;
   }
 
   const std::vector<State>& states() const { return cur_; }
@@ -225,6 +257,23 @@ class SyncRunner {
     pool_->for_range(0, n, chunk);
   }
 
+  /// Runs fn(begin, end) over [lo, hi) split uniformly across the
+  /// workers (inline when serial), resetting each worker's ScratchArena
+  /// first, like each_chunk. Class buckets are scattered node subsets, so
+  /// the stable degree-balanced bounds do not apply.
+  template <typename SliceFn>
+  void each_slice(std::size_t lo, std::size_t hi, SliceFn&& fn) {
+    if (pool_ == nullptr || pool_->num_workers() == 1) {
+      ScratchArena::local().reset();
+      fn(lo, hi);
+      return;
+    }
+    pool_->for_range(lo, hi, [&](int, std::size_t begin, std::size_t end) {
+      ScratchArena::local().reset();
+      fn(begin, end);
+    });
+  }
+
   /// Degree-balanced 64-node-aligned chunk bounds over [0, n): worker w
   /// gets nodes [bounds[w], bounds[w+1]) whose (deg+1)-weight sums to
   /// ~1/workers of the total. Boundaries round up to 64-node groups so a
@@ -246,6 +295,33 @@ class SyncRunner {
   // empty until the first parallel sweep needs them.
   std::vector<std::size_t> chunk_bounds_;
 };
+
+/// Counting sort of node indices by class label, the CSR input of
+/// SyncRunner::run_classes: on return, class c's nodes are
+/// `nodes[start[c] .. start[c+1])` in ascending index order, and
+/// start.size() == num_classes + 1. Labels outside [0, num_classes) belong
+/// to no class. The vectors are reused, so warm calls allocate nothing.
+inline void bucket_by_class(std::span<const Color> labels, int num_classes,
+                            std::vector<std::size_t>& start,
+                            std::vector<NodeId>& nodes) {
+  DC_CHECK(num_classes >= 0);
+  const std::size_t k = static_cast<std::size_t>(num_classes);
+  start.assign(k + 1, 0);
+  for (const Color c : labels)
+    if (c >= 0 && static_cast<std::size_t>(c) < k)
+      ++start[static_cast<std::size_t>(c) + 1];
+  for (std::size_t c = 0; c < k; ++c) start[c + 1] += start[c];
+  nodes.resize(start[k]);
+  // Fill through start[c] (advanced per node), then shift back by one
+  // class: afterwards start[c] is again class c's first slot.
+  for (std::size_t v = 0; v < labels.size(); ++v) {
+    const Color c = labels[v];
+    if (c >= 0 && static_cast<std::size_t>(c) < k)
+      nodes[start[static_cast<std::size_t>(c)]++] = static_cast<NodeId>(v);
+  }
+  for (std::size_t c = k; c > 0; --c) start[c] = start[c - 1];
+  start[0] = 0;
+}
 
 /// One round of "everyone publishes, everyone reads neighbors" implemented
 /// directly for hand-rolled primitives that keep their own buffers: swaps

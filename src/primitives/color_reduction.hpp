@@ -16,10 +16,11 @@
 //
 // Generic over any GraphView: the same engine-stepped implementation runs
 // on host graphs and on the lazy LineGraphView (edge-coloring reduction).
-// Each elimination round is one SyncRunner round; since holders of the
-// eliminated color form an independent set, double-buffered reads equal
-// the sequential in-place update, so results match the pre-engine code
-// bit for bit at any worker count.
+// Each elimination round is one SyncRunner::run_classes round that steps
+// only the holders of the eliminated color (bucketed once per stage); since
+// they form an independent set, double-buffered reads equal the sequential
+// in-place update, so results match the pre-engine code bit for bit at any
+// worker count.
 #pragma once
 
 #include <atomic>
@@ -51,23 +52,27 @@ LinialResult kw_reduce(const ViewT& view, std::vector<Color> color,
   DC_CHECK(target <= 1024);  // fixed scratch bound in the step below
   LinialResult res;
 
-  // The transition is keyed on the round number (which color is being
-  // eliminated).
   SyncRunner<Color, ViewT> runner(view, std::move(color), ctx.engine());
   std::atomic<bool> failed{false};
+  std::vector<Color> round_of(view.num_nodes());
+  std::vector<std::size_t> start;
+  std::vector<NodeId> nodes;
 
   int k = num_colors;
   while (k > target) {
     const int group_size = 2 * target;
     const int hi = std::min(group_size, k);  // offsets >= k are held nowhere
     // Eliminate group-local colors [target, hi), top first, one round each
-    // (lockstep across groups): engine round r handles offset hi - 1 - r.
-    const auto step = [hi, group_size, target,
-                       &failed](const auto& v) -> Color {
+    // (lockstep across groups): engine round r steps the holders of offset
+    // hi - 1 - r. Offsets below target map past the last round and stay.
+    const int stage_rounds = hi - target;
+    const auto& cur = runner.states();
+    for (std::size_t v = 0; v < cur.size(); ++v)
+      round_of[v] = hi - 1 - cur[v] % group_size;
+    bucket_by_class(round_of, stage_rounds, start, nodes);
+    const auto step = [group_size, target, &failed](const auto& v) -> Color {
       const Color c = v.self();
-      const int offset = hi - 1 - v.round();
-      if (c % group_size != offset) return c;
-      const Color group_base = c - offset;
+      const Color group_base = c - c % group_size;
       // Word-parallel "first free group-local color": mark neighbor-held
       // offsets in a fixed 16-word bitset, then ctz the first word with a
       // clear bit below `target` — the same index the old per-bool linear
@@ -93,8 +98,7 @@ LinialResult kw_reduce(const ViewT& view, std::vector<Color> color,
       failed.store(true, std::memory_order_relaxed);
       return c;
     };
-    const int stage_rounds = hi - target;
-    runner.run_rounds(stage_rounds, step);
+    runner.run_classes(start, nodes, step);
     DC_CHECK_MSG(!failed.load(std::memory_order_relaxed),
                  "KW: no free color during elimination");
     res.rounds += stage_rounds;

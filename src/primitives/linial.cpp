@@ -91,12 +91,4 @@ LinialResult linial_edge_coloring(const Graph& g, LocalContext& ctx) {
   return res;
 }
 
-std::vector<std::vector<NodeId>> color_classes(const LinialResult& lin) {
-  std::vector<std::vector<NodeId>> classes(
-      static_cast<std::size_t>(std::max(lin.num_colors, 1)));
-  for (NodeId v = 0; v < lin.color.size(); ++v)
-    classes[static_cast<std::size_t>(lin.color[v])].push_back(v);
-  return classes;
-}
-
 }  // namespace deltacolor

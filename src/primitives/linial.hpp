@@ -20,6 +20,7 @@
 #include <atomic>
 #include <cstdint>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/arena.hpp"
@@ -38,6 +39,37 @@ struct LinialResult {
 };
 
 namespace detail {
+
+/// Divide-free `a / q` and `a % q` for a fixed divisor 2 <= q < 2^32 and
+/// any 64-bit `a` (Barrett reduction). m = floor((2^64 - 1) / q) makes the
+/// high word of a * m either floor(a / q) or one less, so a single
+/// correction step gives the exact quotient and remainder of `/` and `%`.
+class FastDiv {
+ public:
+  explicit FastDiv(std::uint64_t q) : q_(q), m_(~std::uint64_t{0} / q) {
+    DC_DCHECK(q >= 2 && q <= 0xffffffffu);
+  }
+
+  std::uint64_t divisor() const { return q_; }
+
+  /// Quotient and remainder of a / q.
+  std::pair<std::uint64_t, std::uint64_t> divmod(std::uint64_t a) const {
+    std::uint64_t quot = static_cast<std::uint64_t>(
+        (static_cast<unsigned __int128>(a) * m_) >> 64);
+    std::uint64_t rem = a - quot * q_;
+    if (rem >= q_) {
+      rem -= q_;
+      ++quot;
+    }
+    return {quot, rem};
+  }
+
+  std::uint64_t mod(std::uint64_t a) const { return divmod(a).second; }
+
+ private:
+  std::uint64_t q_;
+  std::uint64_t m_;
+};
 
 std::uint64_t linial_pow_sat(std::uint64_t q, int e);
 int linial_degree_for(std::uint64_t q, std::uint64_t max_val);
@@ -75,9 +107,13 @@ LinialResult linial_reduce(const ViewT& view,
   std::atomic<bool> failed{false};
 
   // One stage = one engine round with stage-specific (q, d); the step
-  // closure is rebuilt per stage with those scalars captured by value.
+  // closure is rebuilt per stage with those scalars captured by value,
+  // together with q's precomputed reciprocal (no hardware divide per
+  // coefficient or Horner step).
   const auto make_step = [&failed](std::uint64_t q, int d) {
-    return [q, d, &failed](const auto& v) -> std::uint64_t {
+    const detail::FastDiv div(q);
+    return [div, d, &failed](const auto& v) -> std::uint64_t {
+    const std::uint64_t q = div.divisor();
     // Decompose the closed neighborhood's colors into base-q coefficient
     // vectors (the "message" each neighbor publishes is its polynomial).
     // Scratch lives in the worker's round-local arena (one frame per
@@ -89,27 +125,23 @@ LinialResult linial_reduce(const ViewT& view,
     std::uint32_t* self_coeff = frame.alloc<std::uint32_t>(terms);
     std::uint32_t* nbr_coeff = frame.alloc<std::uint32_t>(
         (static_cast<std::size_t>(v.degree()) + 1) * terms);
-    {
-      std::uint64_t c = v.self();
+    const auto decompose = [&](std::uint64_t c, std::uint32_t* out) {
       for (std::size_t i = 0; i < terms; ++i) {
-        self_coeff[i] = static_cast<std::uint32_t>(c % q);
-        c /= q;
+        const auto [quot, rem] = div.divmod(c);
+        out[i] = static_cast<std::uint32_t>(rem);
+        c = quot;
       }
-    }
+    };
+    decompose(v.self(), self_coeff);
     std::size_t nbrs = 0;
     v.for_each_neighbor([&](NodeId u) {
       if (u == v.node()) return;
-      std::uint64_t c = v.neighbor(u);
-      std::uint32_t* out = nbr_coeff + nbrs * terms;
-      for (std::size_t i = 0; i < terms; ++i) {
-        out[i] = static_cast<std::uint32_t>(c % q);
-        c /= q;
-      }
+      decompose(v.neighbor(u), nbr_coeff + nbrs * terms);
       ++nbrs;
     });
     const auto eval = [&](const std::uint32_t* a, std::uint64_t x) {
       std::uint64_t acc = 0;
-      for (int i = d; i >= 0; --i) acc = (acc * x + a[i]) % q;
+      for (int i = d; i >= 0; --i) acc = div.mod(acc * x + a[i]);
       return acc;
     };
     // Scan evaluation points until one separates this node from every
@@ -163,10 +195,6 @@ LinialResult linial_coloring(const ViewT& view, LocalContext& ctx) {
 /// generic reduction then shrinks. Costs O(log* n) rounds; each line-graph
 /// round dilates to 2 real rounds (charged via the view's dilation).
 LinialResult linial_edge_coloring(const Graph& g, LocalContext& ctx);
-
-/// Buckets node indices by color class (helper for class-greedy sweeps:
-/// iterate classes in order, nodes of one class act simultaneously).
-std::vector<std::vector<NodeId>> color_classes(const LinialResult& lin);
 
 // ---- RoundLedger-based compatibility wrappers (pre-LocalContext API) ----
 

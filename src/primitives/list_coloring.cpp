@@ -31,40 +31,32 @@ PaletteSet& taken_set() {
   return taken;
 }
 
-// Colors of already-colored neighbors of v removed from v's list
-// (precondition checking only; the engine sweeps use the PaletteSet).
-std::vector<Color> effective_list(const Graph& g, NodeId v,
-                                  std::span<const Color> list,
-                                  const std::vector<Color>& color) {
-  std::vector<Color> taken;
-  taken.reserve(g.degree(v));
-  for (const NodeId u : g.neighbors(v))
-    if (color[u] != kNoColor) taken.push_back(color[u]);
-  std::sort(taken.begin(), taken.end());
-  std::vector<Color> eff;
-  eff.reserve(list.size());
-  for (const Color c : list)
-    if (!std::binary_search(taken.begin(), taken.end(), c)) eff.push_back(c);
-  return eff;
-}
-
+// Checks the deg+1 precondition. The effective list (v's list minus the
+// colors of already-colored neighbors, duplicates kept) is counted against
+// the worker's exclusion bitset, so the check allocates nothing.
 void check_precondition(const Graph& g, const NodeMask& active,
                         const ColorLists& lists,
-                        const std::vector<Color>& color) {
+                        const std::vector<Color>& color, int width) {
   DC_CHECK(active.size() == g.num_nodes());
   DC_CHECK(lists.size() == g.num_nodes());
   DC_CHECK(color.size() == g.num_nodes());
+  PaletteSet& taken = taken_set();
   for (NodeId v = 0; v < g.num_nodes(); ++v) {
     if (!active[v]) continue;
     DC_CHECK_MSG(color[v] == kNoColor,
                  "active node " << v << " is already colored");
     int active_deg = 0;
-    for (const NodeId u : g.neighbors(v))
+    taken.reset(width);
+    for (const NodeId u : g.neighbors(v)) {
       if (active[u]) ++active_deg;
-    const auto eff = effective_list(g, v, lists[v], color);
-    DC_CHECK_MSG(static_cast<int>(eff.size()) >= active_deg + 1,
+      if (color[u] != kNoColor) taken.insert(color[u]);
+    }
+    int eff = 0;
+    for (const Color c : lists[v])
+      if (!taken.contains(c)) ++eff;
+    DC_CHECK_MSG(eff >= active_deg + 1,
                  "deg+1 precondition violated at node "
-                     << v << ": effective list " << eff.size()
+                     << v << ": effective list " << eff
                      << " <= active degree " << active_deg);
   }
 }
@@ -75,7 +67,8 @@ int deg_plus_one_list_color(const Graph& g, const NodeMask& active,
                             const ColorLists& lists,
                             std::vector<Color>& color, LocalContext& ctx) {
   DefaultPhase scope(ctx, "deg+1-list");
-  check_precondition(g, active, lists, color);
+  const int width = palette_width(lists, color);
+  check_precondition(g, active, lists, color, width);
 
   std::vector<NodeId> active_nodes;
   for (NodeId v = 0; v < g.num_nodes(); ++v)
@@ -93,19 +86,19 @@ int deg_plus_one_list_color(const Graph& g, const NodeMask& active,
   const LinialResult lin = schedule_coloring(sub, sub_ctx);
 
   // Class sweep on the *host* graph (exclusions come from all neighbors,
-  // active or not): engine round t colors schedule class t. The exclusion
-  // set is a word-parallel bitset; scanning the node's list in *its own
-  // order* against it picks the same color the old sort+binary_search code
-  // did, for sorted and unsorted lists alike.
-  const int width = palette_width(lists, color);
+  // active or not): engine round t steps only the active nodes of schedule
+  // class t. The exclusion set is a word-parallel bitset; scanning the
+  // node's list in *its own order* against it picks the same color the old
+  // sort+binary_search code did, for sorted and unsorted lists alike.
   std::vector<Color> class_of(g.num_nodes(), -1);
   for (NodeId i = 0; i < sub.num_nodes(); ++i)
     class_of[sub.orig_of(i)] = lin.color[i];
+  std::vector<std::size_t> start;
+  std::vector<NodeId> nodes;
+  bucket_by_class(class_of, lin.num_colors, start, nodes);
   SyncRunner<Color> runner(g, color, ctx.engine());
   std::atomic<bool> failed{false};
-  const auto step = [&class_of, &lists, width,
-                     &failed](const auto& v) -> Color {
-    if (class_of[v.node()] != v.round()) return v.self();
+  const auto step = [&lists, width, &failed](const auto& v) -> Color {
     PaletteSet& taken = taken_set();
     taken.reset(width);
     v.for_each_neighbor([&](NodeId u) {
@@ -117,7 +110,7 @@ int deg_plus_one_list_color(const Graph& g, const NodeMask& active,
     failed.store(true, std::memory_order_relaxed);
     return v.self();
   };
-  runner.run_rounds(lin.num_colors, step);
+  runner.run_classes(start, nodes, step);
   DC_CHECK_MSG(!failed.load(std::memory_order_relaxed),
                "class-greedy ran out of colors");
   color = runner.take_states();
@@ -143,9 +136,9 @@ int deg_plus_one_list_color_randomized(const Graph& g, const NodeMask& active,
                                        std::vector<Color>& color,
                                        LocalContext& ctx) {
   DefaultPhase scope(ctx, "deg+1-list-rand");
-  check_precondition(g, active, lists, color);
-  const std::uint64_t seed = ctx.seed();
   const int width = palette_width(lists, color);
+  check_precondition(g, active, lists, color, width);
+  const std::uint64_t seed = ctx.seed();
   const int max_iterations = 64 * (32 - __builtin_clz(g.num_nodes() + 2));
 
   // One iteration = 2 engine rounds: trial (2t) then commit (2t+1).

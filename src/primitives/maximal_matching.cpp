@@ -26,11 +26,11 @@ std::vector<bool> maximal_matching_deterministic(const Graph& g,
   if (g.num_edges() == 0) return in_matching;
 
   // Proper edge coloring on the lazy line-graph view, reduced to 2*Delta-1
-  // classes, then one virtual round per color class: an edge joins if no
-  // adjacent edge (= line-graph neighbor = edge sharing an endpoint) did.
-  // Edges of a class share no endpoint. The coloring rounds are recharged
-  // below with their dilation already folded in, so the nested calls run
-  // against a throwaway ledger.
+  // classes, then one virtual round per color class that steps only that
+  // class's edges: an edge joins if no adjacent edge (= line-graph
+  // neighbor = edge sharing an endpoint) did. Edges of a class share no
+  // endpoint. The coloring rounds are recharged below with their dilation
+  // already folded in, so the nested calls run against a throwaway ledger.
   const LineGraphView line(g);
   RoundLedger ec_ledger;
   LocalContext ec_ctx(ec_ledger, ctx.engine(), ctx.seed());
@@ -43,18 +43,19 @@ std::vector<bool> maximal_matching_deterministic(const Graph& g,
     ec = std::move(reduced);
   }
 
+  std::vector<std::size_t> start;
+  std::vector<NodeId> edges;
+  bucket_by_class(ec.color, ec.num_colors, start, edges);
   SyncRunner<std::uint8_t, LineGraphView> runner(
       line, std::vector<std::uint8_t>(g.num_edges(), 0), ctx.engine());
-  const auto step = [&](const auto& e) -> std::uint8_t {
-    if (e.self()) return 1;
-    if (ec.color[e.node()] != e.round()) return 0;
+  const auto step = [](const auto& e) -> std::uint8_t {
     bool blocked = false;
     e.for_each_neighbor([&](NodeId f) {
       if (e.neighbor(f)) blocked = true;
     });
     return blocked ? 0 : 1;
   };
-  runner.run_rounds(ec.num_colors, step);
+  runner.run_classes(start, edges, step);
   const auto& states = runner.states();
   for (EdgeId e = 0; e < g.num_edges(); ++e) in_matching[e] = states[e] != 0;
 

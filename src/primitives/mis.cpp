@@ -14,22 +14,23 @@ namespace deltacolor {
 std::vector<bool> mis_deterministic(const Graph& g, LocalContext& ctx) {
   DefaultPhase scope(ctx, "mis");
   const LinialResult lin = schedule_coloring(g, ctx);
-  // One engine round per color class: a node joins unless a neighbor
-  // already did. Same-class nodes are non-adjacent, so simultaneous joins
-  // are safe and the double-buffered engine matches the sequential sweep.
+  // One engine round per color class, stepping only that class: a node
+  // joins unless a neighbor already did. Same-class nodes are non-adjacent,
+  // so simultaneous joins are safe and the double-buffered engine matches
+  // the sequential sweep.
+  std::vector<std::size_t> start;
+  std::vector<NodeId> nodes;
+  bucket_by_class(lin.color, lin.num_colors, start, nodes);
   SyncRunner<std::uint8_t> runner(
       g, std::vector<std::uint8_t>(g.num_nodes(), 0), ctx.engine());
-  const std::vector<Color>& color = lin.color;
-  const auto step = [&color](const auto& v) -> std::uint8_t {
-    if (v.self()) return 1;
-    if (color[v.node()] != v.round()) return 0;
+  const auto step = [](const auto& v) -> std::uint8_t {
     bool blocked = false;
     v.for_each_neighbor([&](NodeId u) {
       if (v.neighbor(u)) blocked = true;
     });
     return blocked ? 0 : 1;
   };
-  runner.run_rounds(lin.num_colors, step);
+  runner.run_classes(start, nodes, step);
   const auto& states = runner.states();
   std::vector<bool> in_set(g.num_nodes(), false);
   for (NodeId v = 0; v < g.num_nodes(); ++v) in_set[v] = states[v] != 0;

@@ -6,6 +6,7 @@
 #include "core/loopholes.hpp"
 #include "graph/checker.hpp"
 #include "graph/generators.hpp"
+#include "common/rng.hpp"
 #include "local/ledger.hpp"
 
 namespace deltacolor {
@@ -100,6 +101,66 @@ TEST(Acd, ChargesConstantRounds) {
   compute_acd(small.graph, l1, params_for(12));
   compute_acd(large.graph, l2, params_for(12));
   EXPECT_EQ(l1.total(), l2.total());  // O(1) rounds, independent of n
+}
+
+// Order-sensitive FNV-1a hash of an ACD's clique assignment.
+std::uint64_t clique_hash(const Acd& acd) {
+  std::uint64_t h = 1469598103934665603ULL;
+  for (const int c : acd.clique_of)
+    h = (h ^ static_cast<std::uint64_t>(c + 1)) * 1099511628211ULL;
+  return h;
+}
+
+// A hard blow-up with about 1/32 of its edges dropped and n/64 random edges
+// added: cliques that are only nearly cliques, with noise between them.
+Graph perturbed_blowup(std::uint64_t seed) {
+  const CliqueInstance inst = blowup(24, 16, 16, 0.0, seed);
+  const Graph& g = inst.graph;
+  std::vector<std::pair<NodeId, NodeId>> edges;
+  for (EdgeId e = 0; e < g.num_edges(); ++e)
+    if (hash_mix(seed, e, 0) % 32 != 0) edges.push_back(g.endpoints(e));
+  std::uint64_t rng = seed;
+  for (NodeId i = 0; i < g.num_nodes() / 64; ++i) {
+    const NodeId a = static_cast<NodeId>(splitmix64(rng) % g.num_nodes());
+    const NodeId b = static_cast<NodeId>(splitmix64(rng) % g.num_nodes());
+    if (a != b) edges.emplace_back(std::min(a, b), std::max(a, b));
+  }
+  return Graph(g.num_nodes(), std::move(edges));
+}
+
+// Pins compute_acd's clique assignment on three seeded instances (hashes
+// recorded before friend-edge marking moved from per-edge sorted merges to
+// per-node neighbor stamps), so a rewrite of the marking loop must
+// reproduce the decomposition exactly.
+TEST(Acd, CliqueAssignmentPinnedOnSeededInstances) {
+  struct Case {
+    const char* name;
+    Graph graph;
+    AcdParams params;
+    int cliques;
+    std::size_t sparse;
+    std::uint64_t hash;
+  };
+  const auto eps = [](double e) {
+    AcdParams p;
+    p.epsilon = e;
+    return p;
+  };
+  const Case cases[] = {
+      {"blowup-25%-easy", blowup(32, 16, 16, 0.25, 5).graph, params_for(16),
+       32, 0, 9628916773060306563ULL},
+      {"perturbed-blowup", perturbed_blowup(9), eps(0.4), 29, 48,
+       7075330134639124307ULL},
+      {"gnp", random_graph(120, 0.93, 11), eps(0.2), 1, 1,
+       5141094873153652636ULL},
+  };
+  for (const Case& c : cases) {
+    RoundLedger ledger;
+    const Acd acd = compute_acd(c.graph, ledger, c.params);
+    EXPECT_EQ(acd.num_cliques(), c.cliques) << c.name;
+    EXPECT_EQ(acd.sparse.size(), c.sparse) << c.name;
+    EXPECT_EQ(clique_hash(acd), c.hash) << c.name;
+  }
 }
 
 // --- loophole validity checker ---------------------------------------------------

@@ -1,9 +1,12 @@
 // Tests for Kuhn-Wattenhofer color reduction and the schedule coloring it
-// enables (Linial -> Delta+1 classes).
+// enables (Linial -> Delta+1 classes), and the divide-free arithmetic of
+// the Linial step.
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 
+#include "common/rng.hpp"
 #include "common/stats.hpp"
 #include "graph/checker.hpp"
 #include "graph/generators.hpp"
@@ -23,6 +26,27 @@ std::vector<Graph> family() {
   gs.push_back(random_graph(96, 0.08, 5));
   gs.push_back(random_tree(150, 6));
   return gs;
+}
+
+TEST(FastDiv, MatchesHardwareDivideAndModulo) {
+  const std::uint64_t max = ~std::uint64_t{0};
+  std::uint64_t rng = 17;
+  for (const std::uint64_t q : {2ull, 3ull, 37ull, 65537ull, 4294967291ull}) {
+    const detail::FastDiv div(q);
+    std::vector<std::uint64_t> as = {0, q - 1, q, q * q, max, max - 1,
+                                     max / q * q, max / q * q - 1};
+    for (int i = 0; i < 2000; ++i) {
+      const std::uint64_t r = splitmix64(rng);
+      as.push_back(r);
+      as.push_back(r >> (r % 64));  // small magnitudes too
+    }
+    for (const std::uint64_t a : as) {
+      const auto [quot, rem] = div.divmod(a);
+      ASSERT_EQ(quot, a / q) << "a=" << a << " q=" << q;
+      ASSERT_EQ(rem, a % q) << "a=" << a << " q=" << q;
+      ASSERT_EQ(div.mod(a), a % q) << "a=" << a << " q=" << q;
+    }
+  }
 }
 
 TEST(KwReduce, ReachesDeltaPlusOneEverywhere) {

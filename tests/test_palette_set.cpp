@@ -470,6 +470,43 @@ TEST(SteadyState, EngineRoundsAreAllocationFree) {
       << "warm engine rounds must not touch the heap";
 }
 
+// Class-keyed rounds (run_classes) over a reused bucket: once warm, further
+// schedules allocate nothing — neither the bucketing, nor the steps, nor the
+// per-class commits.
+TEST(SteadyState, ClassRoundsAreAllocationFree) {
+  const Graph g = random_regular(64, 6, 1);
+  std::vector<Color> labels(g.num_nodes());
+  for (NodeId v = 0; v < g.num_nodes(); ++v)
+    labels[v] = static_cast<Color>(v % 7);
+  std::vector<std::size_t> start;
+  std::vector<NodeId> nodes;
+  using State = std::uint32_t;  // unsigned: the mixing below may wrap
+  SyncRunner<State> runner(g, std::vector<State>(g.num_nodes(), 0),
+                           EngineOptions{.num_threads = 1});
+  auto step = [](const SyncRunner<State>::View& view) {
+    ScratchArena::Frame frame(ScratchArena::local());
+    State* scratch =
+        frame.alloc<State>(static_cast<std::size_t>(view.degree()));
+    std::size_t i = 0;
+    for (const NodeId u : view.neighbors()) scratch[i++] = view.neighbor(u);
+    State acc = view.self() + static_cast<State>(view.round());
+    for (std::size_t j = 0; j < i; ++j) acc ^= scratch[j] * 31;
+    return acc;
+  };
+  bucket_by_class(labels, 7, start, nodes);  // warm-up
+  runner.run_classes(start, nodes, step);
+  const std::size_t before = g_alloc_count.load(std::memory_order_relaxed);
+  int rounds = 0;
+  for (int rep = 0; rep < 8; ++rep) {
+    bucket_by_class(labels, 7, start, nodes);
+    rounds += runner.run_classes(start, nodes, step);
+  }
+  const std::size_t after = g_alloc_count.load(std::memory_order_relaxed);
+  EXPECT_EQ(rounds, 56);
+  EXPECT_EQ(after - before, 0u)
+      << "warm class rounds must not touch the heap";
+}
+
 // End-to-end: repeated warm runs of the deg+1 list-coloring engine allocate
 // a flat amount (setup only — state buffers, result vector), i.e. the
 // per-round path adds nothing. Asserting run2 == run3 avoids counting the

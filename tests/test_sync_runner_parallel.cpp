@@ -2,7 +2,9 @@
 //  (a) states bit-identical across worker counts {1, 2, 8} and equal to an
 //      independent serial reference of the pre-change engine semantics, on
 //      Luby MIS and color-trial workloads;
-//  (b) RoundLedger wall-clock totals are monotone and merge per phase.
+//  (b) class-keyed rounds (run_classes) equal guarded full sweeps on host
+//      graphs and lazy views at every worker count;
+//  (c) RoundLedger wall-clock totals are monotone and merge per phase.
 #include <gtest/gtest.h>
 
 #include <numeric>
@@ -12,6 +14,7 @@
 #include "common/thread_pool.hpp"
 #include "graph/checker.hpp"
 #include "graph/generators.hpp"
+#include "graph/graph_view.hpp"
 #include "local/message_passing.hpp"
 #include "local/sync_runner.hpp"
 
@@ -225,6 +228,84 @@ TEST(SyncRunnerParallel, GenericStateBitIdenticalAcrossSchedules) {
       EXPECT_EQ(par.states()[v], serial.states()[v])
           << "workers=" << workers << " node=" << v;
   }
+}
+
+// run_classes on one view: a class-keyed schedule over `labels` (labels
+// outside [0, classes) are never stepped) must leave exactly the states of
+// run_rounds(classes) with a "not my class -> keep state" guard, at every
+// worker count. The transition reads neighbor states, so a slot committed
+// in round t must be visible in round t + 1 and no earlier.
+template <typename ViewT>
+void expect_classes_match_rounds(const ViewT& view,
+                                 const std::vector<Color>& labels,
+                                 int classes) {
+  const NodeId n = view.num_nodes();
+  std::vector<std::uint64_t> init(n);
+  for (NodeId v = 0; v < n; ++v) init[v] = hash_mix(5, v, 0);
+  const auto mix = [](const auto& v) {
+    std::uint64_t acc = v.self() ^ static_cast<std::uint64_t>(v.round());
+    v.for_each_neighbor([&](NodeId u) { acc = hash_mix(acc, v.neighbor(u), u); });
+    return acc;
+  };
+  SyncRunner<std::uint64_t, ViewT> reference(view, init, EngineOptions{1});
+  reference.run_rounds(classes, [&](const auto& v) {
+    return labels[v.node()] == v.round() ? mix(v) : v.self();
+  });
+  std::vector<std::size_t> start;
+  std::vector<NodeId> nodes;
+  bucket_by_class(labels, classes, start, nodes);
+  ASSERT_EQ(start.size(), static_cast<std::size_t>(classes) + 1);
+  for (const int workers : {1, 2, 3, 8}) {
+    SyncRunner<std::uint64_t, ViewT> runner(view, init,
+                                            EngineOptions{workers});
+    EXPECT_EQ(runner.run_classes(start, nodes, mix), classes);
+    EXPECT_EQ(runner.states(), reference.states())
+        << "n=" << n << " classes=" << classes << " workers=" << workers;
+  }
+}
+
+// Labels in [-1, classes) with classes 1 and classes - 2 left empty; -1
+// marks nodes outside every class.
+std::vector<Color> sparse_labels(NodeId n, int classes, std::uint64_t seed) {
+  std::vector<Color> labels(n);
+  for (NodeId v = 0; v < n; ++v) {
+    Color c = static_cast<Color>(hash_mix(seed, v, 1) %
+                                 static_cast<std::uint64_t>(classes + 1)) -
+              1;
+    if (classes > 2 && (c == 1 || c == classes - 2)) c = 0;
+    labels[v] = c;
+  }
+  return labels;
+}
+
+TEST(SyncRunnerParallel, RunClassesMatchesRunRounds) {
+  const Graph g = random_regular(300, 6, 21);
+  std::vector<NodeId> half;
+  for (NodeId v = 0; v < g.num_nodes(); v += 2) half.push_back(v);
+  const InducedSubgraphView sub(g, half);
+  const LineGraphView line(g);
+  for (const int classes : {1, 9}) {
+    SCOPED_TRACE(classes);
+    expect_classes_match_rounds(g, sparse_labels(g.num_nodes(), classes, 1),
+                                classes);
+    expect_classes_match_rounds(
+        sub, sparse_labels(sub.num_nodes(), classes, 2), classes);
+    expect_classes_match_rounds(
+        line, sparse_labels(line.num_nodes(), classes, 3), classes);
+  }
+  // One class holding every node: a single full round.
+  expect_classes_match_rounds(g, std::vector<Color>(g.num_nodes(), 0), 1);
+  // No classes: nothing runs.
+  expect_classes_match_rounds(g, std::vector<Color>(g.num_nodes(), -1), 0);
+}
+
+TEST(BucketByClass, CountingSortKeepsIndexOrderAndSkipsOutOfRange) {
+  const std::vector<Color> labels = {2, 0, -1, 2, 5, 0, 3, 2};
+  std::vector<std::size_t> start;
+  std::vector<NodeId> nodes;
+  bucket_by_class(labels, 4, start, nodes);
+  EXPECT_EQ(start, (std::vector<std::size_t>{0, 2, 2, 5, 6}));
+  EXPECT_EQ(nodes, (std::vector<NodeId>{1, 5, 0, 3, 7, 6}));
 }
 
 TEST(LedgerTime, TotalsAreMonotoneAndPhaseMerged) {
