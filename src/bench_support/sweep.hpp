@@ -24,16 +24,15 @@
 //    is the *legacy* policy; see the robustness layer below.
 //
 // Robustness layer (see DESIGN.md §fault-tolerance): SweepOptions::retry
-// configures per-cell round budgets, wall-clock deadlines, arena byte
-// limits, bounded retry with seed perturbation, and quarantine. With
+// configures bounded retry with seed perturbation and quarantine. With
 // quarantine enabled a persistently failing cell keeps its default row,
 // its CellOutcome records status/category/error, and every other cell's
 // row survives — partial-result tables instead of a torn-down sweep. A
 // SweepJournal checkpoints each finished cell (JSONL, keyed by the
 // caller's key_fn: instance-cache key + algorithm + seed) so a killed
-// sweep resumes from completed cells. Everything is off by default and
-// env-configurable (sweep_options_from_env), so fault-free default runs
-// stay bit-identical to the pre-robustness driver.
+// sweep resumes from completed cells. Everything is off by default
+// (dcolor's --retries / --journal / --resume switch it on), so fault-free
+// default runs stay bit-identical to the pre-robustness driver.
 #pragma once
 
 #include <algorithm>
@@ -59,33 +58,20 @@
 namespace deltacolor::bench {
 
 /// Per-cell failure-handling policy. The default is the legacy contract:
-/// one attempt, no budgets, failures rethrow (lowest cell index first).
+/// one attempt, failures rethrow (lowest cell index first).
 struct RetryPolicy {
   /// Attempts per cell (>= 1). Retries re-run the cell with the same
   /// inputs; randomized cells draw a perturbed seed via
   /// CellContext::seed_for, faithful to the w.h.p. semantics (a failed
   /// trial re-runs with fresh randomness). Each retry charges one round
-  /// to the cell's "retry" phase.
+  /// to the cell's "retry" phase. A not-dense failure ends the cell on
+  /// its first attempt.
   int max_attempts = 1;
-  /// Max simulated rounds one attempt may charge (ledger total delta);
-  /// 0 = unlimited. Exceeding it fails the attempt with
-  /// kRoundBudgetExceeded.
-  std::int64_t round_budget = 0;
-  /// Max wall-clock per attempt, milliseconds; 0 = unlimited. Exceeding it
-  /// fails the attempt with kWallClockTimeout.
-  double deadline_ms = 0;
-  /// ScratchArena byte budget installed on the cell thread for the
-  /// attempt; 0 = unlimited. (Covers the cell thread's arena — i.e. the
-  /// whole cell under a parallel sweep, where cell engines are serial.)
-  std::size_t arena_limit_bytes = 0;
-  /// After max_attempts failures: true = quarantine the cell (default row,
-  /// status recorded, other cells unaffected); false = legacy rethrow.
+  /// After the last failed attempt: true = quarantine the cell (default
+  /// row, status recorded, other cells unaffected); false = legacy rethrow.
   bool quarantine = false;
 
-  bool is_default() const {
-    return max_attempts <= 1 && round_budget == 0 && deadline_ms == 0 &&
-           arena_limit_bytes == 0 && !quarantine;
-  }
+  bool is_default() const { return max_attempts <= 1 && !quarantine; }
 };
 
 struct SweepOptions {
@@ -93,23 +79,11 @@ struct SweepOptions {
   int workers = 0;
   /// Engine options cells receive when the sweep itself is serial.
   EngineOptions cell_engine;
-  /// Failure handling (budgets, retry, quarantine). Default = legacy.
+  /// Failure handling (retry, quarantine). Default = legacy.
   RetryPolicy retry;
-  /// Optional checkpoint journal (shared so env-built options can be
-  /// copied into several drivers of one binary).
+  /// Optional checkpoint journal.
   std::shared_ptr<SweepJournal> journal;
 };
-
-/// Overlays DELTACOLOR_SWEEP_* environment variables on `base`, so every
-/// bench binary is retry/journal-capable without per-binary flags:
-///   DELTACOLOR_SWEEP_RETRIES      max attempts per cell
-///   DELTACOLOR_SWEEP_ROUND_BUDGET per-attempt simulated-round budget
-///   DELTACOLOR_SWEEP_DEADLINE_MS  per-attempt wall-clock deadline
-///   DELTACOLOR_SWEEP_ARENA_LIMIT  per-cell scratch-arena byte budget
-///   DELTACOLOR_SWEEP_QUARANTINE   1 = quarantine instead of rethrow
-///   DELTACOLOR_SWEEP_JOURNAL      JSONL journal path
-///   DELTACOLOR_SWEEP_RESUME      1 = load the journal and skip done cells
-SweepOptions sweep_options_from_env(SweepOptions base = {});
 
 /// Terminal record of one cell. `category`/`error` are meaningful only
 /// when status is kQuarantined.
@@ -247,9 +221,9 @@ class SweepDriver {
       ledgers[i].charge_time("cell", elapsed - built);
     };
 
-    // Full per-cell protocol: resume lookup, attempt loop with budget
-    // checks, quarantine or deferred rethrow, journal checkpoint. Returns
-    // non-null only in legacy rethrow mode.
+    // Full per-cell protocol: resume lookup, attempt loop, quarantine or
+    // deferred rethrow, journal checkpoint. Returns non-null only in
+    // legacy rethrow mode.
     const auto exec_cell = [&](std::size_t i,
                                CellContext& ctx) -> std::exception_ptr {
       const std::string key = key_fn ? key_fn(i) : std::string();
@@ -274,9 +248,6 @@ class SweepDriver {
         ctx.attempt_ = attempt;
         FaultInjector::CellScope scope(static_cast<std::int64_t>(i),
                                        attempt);
-        ScratchArena::local().set_limit(policy.arena_limit_bytes);
-        const std::int64_t rounds_before = ctx.ledger().total();
-        const double attempt_start = steady_ms();
         bool failed = false;
         FaultCategory category = FaultCategory::kEngineException;
         std::string error;
@@ -299,31 +270,14 @@ class SweepDriver {
           error = "unknown exception";
           raw = std::current_exception();
         }
-        ScratchArena::local().set_limit(0);
-        if (!failed) {
-          const std::int64_t used = ctx.ledger().total() - rounds_before;
-          if (policy.round_budget > 0 && used > policy.round_budget) {
-            failed = true;
-            category = FaultCategory::kRoundBudgetExceeded;
-            error = "cell charged " + std::to_string(used) +
-                    " rounds (budget " +
-                    std::to_string(policy.round_budget) + ")";
-            raw = nullptr;
-          } else if (policy.deadline_ms > 0 &&
-                     steady_ms() - attempt_start > policy.deadline_ms) {
-            failed = true;
-            category = FaultCategory::kWallClockTimeout;
-            error = "cell exceeded its wall-clock deadline (" +
-                    std::to_string(policy.deadline_ms) + " ms)";
-            raw = nullptr;
-          }
-        }
         if (!failed) {
           oc.status = attempt == 0 ? CellStatus::kOk : CellStatus::kRetried;
           oc.attempts = attempt + 1;
           break;
         }
-        if (attempt + 1 >= std::max(1, policy.max_attempts)) {
+        // A not-dense input fails under every seed, so it gets no retry.
+        if (attempt + 1 >= std::max(1, policy.max_attempts) ||
+            category == FaultCategory::kNotDense) {
           oc.attempts = attempt + 1;
           oc.category = category;
           oc.error = error;
@@ -332,8 +286,7 @@ class SweepDriver {
             out.rows[i] = Row{};  // partial-result table: default row
             break;
           }
-          fatal = raw ? raw
-                      : std::make_exception_ptr(CellError(category, error));
+          fatal = raw;
           break;
         }
         // Bounded retry: the re-run coordination costs one simulated round

@@ -17,23 +17,14 @@
 //     reclaimed immediately and a chunk's footprint is the *maximum* over
 //     its nodes, not the sum.
 //   - alloc<T>() requires trivially copyable T (no destructors run).
-//   - An optional per-arena byte budget (set_limit) turns runaway scratch
-//     growth into a structured allocation-limit CellError at the growth
-//     site instead of std::bad_alloc-ing the process mid-sweep; the sweep
-//     driver installs it per cell from RetryPolicy::arena_limit_bytes.
-//     Growth events also report to an installable probe (set_alloc_probe),
-//     which is how the FaultInjector plants deterministic allocation
-//     failures without this header depending on the injector.
 #pragma once
 
-#include <atomic>
 #include <cstddef>
 #include <cstdint>
 #include <type_traits>
 #include <vector>
 
 #include "common/check.hpp"
-#include "common/errors.hpp"
 
 namespace deltacolor {
 
@@ -94,29 +85,6 @@ class ScratchArena {
   /// flat after warm-up; the allocation-counting test asserts this.
   std::size_t growth_count() const { return growth_count_; }
 
-  /// Optional byte budget for this arena's total capacity (primary buffer
-  /// plus overflow blocks). 0 = unlimited. A growth event that would push
-  /// the capacity past the limit throws a structured allocation-limit
-  /// CellError instead of letting std::bad_alloc (or the OOM killer) take
-  /// the whole sweep down; already-reserved capacity stays usable.
-  void set_limit(std::size_t bytes) { limit_ = bytes; }
-  std::size_t limit() const { return limit_; }
-  /// Total heap bytes currently reserved by this arena.
-  std::size_t total_capacity() const {
-    std::size_t total = buf_.size();
-    for (const auto& block : overflow_) total += block.size();
-    return total;
-  }
-
-  /// Probe invoked (process-wide, all arenas) at every growth event with
-  /// the requested byte count, before the allocation happens. Installed by
-  /// the FaultInjector to plant deterministic allocation failures; a probe
-  /// may throw. nullptr disables (the default).
-  using AllocProbe = void (*)(std::size_t bytes);
-  static void set_alloc_probe(AllocProbe probe) {
-    alloc_probe_ref().store(probe, std::memory_order_relaxed);
-  }
-
   /// The calling thread's arena (workers and the serial engine path each
   /// see their own).
   static ScratchArena& local() {
@@ -158,21 +126,11 @@ class ScratchArena {
     if (overflow_.empty() ||
         ((overflow_used_ + align - 1) & ~(align - 1)) + bytes >
             overflow_.back().size()) {
-      if (const AllocProbe probe =
-              alloc_probe_ref().load(std::memory_order_relaxed))
-        probe(bytes);
       const std::size_t need = bytes + align;
       const std::size_t base =
           overflow_.empty() ? buf_.size() : overflow_.back().size();
       std::size_t grow = base == 0 ? 4096 : 2 * base;
       if (grow < need) grow = need;
-      if (limit_ != 0 && total_capacity() + grow > limit_)
-        throw CellError(
-            FaultCategory::kAllocationLimit,
-            "scratch arena byte budget exhausted: capacity " +
-                std::to_string(total_capacity()) + " + growth " +
-                std::to_string(grow) + " exceeds limit " +
-                std::to_string(limit_));
       overflow_.emplace_back(grow);
       overflow_used_ = 0;
       ++growth_count_;
@@ -185,18 +143,12 @@ class ScratchArena {
     return block.data() + off;
   }
 
-  static std::atomic<AllocProbe>& alloc_probe_ref() {
-    static std::atomic<AllocProbe> probe{nullptr};
-    return probe;
-  }
-
   std::vector<std::byte> buf_;
   std::vector<std::vector<std::byte>> overflow_;
   std::size_t overflow_used_ = 0;  // bump offset inside overflow_.back()
   std::size_t used_ = 0;
   std::size_t high_water_ = 0;
   std::size_t growth_count_ = 0;
-  std::size_t limit_ = 0;  // 0 = unlimited
 };
 
 }  // namespace deltacolor

@@ -2,10 +2,10 @@
 //
 // The paper's guarantees only hold for runs that complete with their
 // invariants intact, so the execution stack needs a vocabulary for the ways
-// a run can fail that is richer than "some exception escaped": a sweep cell
-// that blows its round budget is a different event from a corrupted
-// coloring, and the recovery policy differs (re-run with a fresh seed vs
-// quarantine and report). CellError is that vocabulary. Recoverable paths
+// a run can fail that is richer than "some exception escaped": an input
+// outside the algorithm's regime is a different event from a corrupted
+// coloring, and the recovery policy differs (report at once vs re-run
+// with a fresh seed). CellError is that vocabulary. Recoverable paths
 // throw it instead of DC_CHECK-aborting; the SweepDriver catches it,
 // classifies it, and applies the retry / quarantine policy (sweep.hpp).
 // Anything else (std::exception) is wrapped as kEngineException, so the
@@ -30,21 +30,15 @@ namespace deltacolor {
 /// journal/--resume round-trip tests). kNotDense is the reverse: a property
 /// of the input, never injected, so fault specs cannot name it.
 enum class FaultCategory {
-  kInvariantViolation,   ///< oracle found an improper partial/final coloring
-  kRoundBudgetExceeded,  ///< cell consumed more simulated rounds than allowed
-  kWallClockTimeout,     ///< cell exceeded its wall-clock deadline
-  kAllocationLimit,      ///< scratch arena byte budget exhausted
-  kEngineException,      ///< any other exception escaping the cell
-  kProcessKill,          ///< injector-only: hard process exit (resume tests)
-  kNotDense,             ///< input fails Definition 4 (det/rand precondition)
+  kInvariantViolation,  ///< oracle found an improper partial/final coloring
+  kEngineException,     ///< any other exception escaping the cell
+  kProcessKill,         ///< injector-only: hard process exit (resume tests)
+  kNotDense,            ///< input fails Definition 4 (det/rand precondition)
 };
 
 constexpr std::string_view to_string(FaultCategory c) {
   switch (c) {
     case FaultCategory::kInvariantViolation: return "invariant-violation";
-    case FaultCategory::kRoundBudgetExceeded: return "round-budget-exceeded";
-    case FaultCategory::kWallClockTimeout: return "wall-clock-timeout";
-    case FaultCategory::kAllocationLimit: return "allocation-limit";
     case FaultCategory::kEngineException: return "engine-exception";
     case FaultCategory::kProcessKill: return "process-kill";
     case FaultCategory::kNotDense: return "not-dense";
@@ -56,9 +50,8 @@ constexpr std::string_view to_string(FaultCategory c) {
 /// Returns false and leaves `out` untouched on unknown names.
 inline bool parse_fault_category(std::string_view name, FaultCategory* out) {
   for (const FaultCategory c :
-       {FaultCategory::kInvariantViolation, FaultCategory::kRoundBudgetExceeded,
-        FaultCategory::kWallClockTimeout, FaultCategory::kAllocationLimit,
-        FaultCategory::kEngineException, FaultCategory::kProcessKill}) {
+       {FaultCategory::kInvariantViolation, FaultCategory::kEngineException,
+        FaultCategory::kProcessKill}) {
     if (name == to_string(c)) {
       *out = c;
       return true;

@@ -61,12 +61,10 @@ class LocalContext {
   }
 
   /// Charges rounds to the innermost phase. While a FaultInjector is
-  /// armed, a matching round-budget spec inflates the charge here — so the
-  /// sweep driver's *real* budget enforcement trips, instead of a fake
-  /// error path that never exercises the recovery code.
+  /// armed, a phase-addressed engine-exception spec fires here.
   void charge(std::int64_t rounds, std::int64_t dilation = 1) {
     if (FaultInjector::armed())
-      rounds += FaultInjector::global().on_phase_charge(phase());
+      FaultInjector::global().on_phase_charge(phase());
     ledger_->charge(phase(), rounds, dilation);
   }
 

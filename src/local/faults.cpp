@@ -1,13 +1,11 @@
 #include "local/faults.hpp"
 
 #include <algorithm>
-#include <chrono>
+#include <cerrno>
 #include <cstdlib>
 #include <iostream>
 #include <stdexcept>
-#include <thread>
 
-#include "common/arena.hpp"
 #include "common/edit_distance.hpp"
 #include "common/rng.hpp"
 #include "graph/graph.hpp"
@@ -30,11 +28,6 @@ std::uint64_t fnv1a(std::string_view s) {
   return h;
 }
 
-void fault_alloc_probe(std::size_t bytes) {
-  if (FaultInjector::armed())
-    FaultInjector::global().on_alloc_growth(bytes);
-}
-
 bool parse_int(std::string_view v, std::int64_t* out) {
   if (v.empty()) return false;
   errno = 0;
@@ -46,31 +39,18 @@ bool parse_int(std::string_view v, std::int64_t* out) {
   return true;
 }
 
-bool parse_double(std::string_view v, double* out) {
-  if (v.empty()) return false;
-  errno = 0;
-  const std::string text(v);  // outlives `rest`, which points into it
-  char* rest = nullptr;
-  const double x = std::strtod(text.c_str(), &rest);
-  if (errno != 0 || rest == nullptr || *rest != '\0') return false;
-  *out = x;
-  return true;
-}
-
 std::vector<std::string_view> category_names() {
   std::vector<std::string_view> names;
   for (const FaultCategory c :
-       {FaultCategory::kInvariantViolation, FaultCategory::kRoundBudgetExceeded,
-        FaultCategory::kWallClockTimeout, FaultCategory::kAllocationLimit,
-        FaultCategory::kEngineException, FaultCategory::kProcessKill})
+       {FaultCategory::kInvariantViolation, FaultCategory::kEngineException,
+        FaultCategory::kProcessKill})
     names.push_back(to_string(c));
   return names;
 }
 
 const std::vector<std::string_view>& spec_keys() {
   static const std::vector<std::string_view> keys = {
-      "cell",         "round",    "node", "attempts",
-      "extra_rounds", "sleep_ms", "phase"};
+      "cell", "round", "node", "attempts", "phase"};
   return keys;
 }
 
@@ -124,9 +104,6 @@ bool parse_fault_spec(std::string_view text, FaultSpec* out,
       spec.attempts = static_cast<int>(n);
       continue;
     }
-    if (key == "extra_rounds" && parse_int(value, &spec.extra_rounds))
-      continue;
-    if (key == "sleep_ms" && parse_double(value, &spec.sleep_ms)) continue;
     // A recognized key with an unparsable value is a value error; an
     // unrecognized key gets the did-you-mean treatment.
     bool known = false;
@@ -207,13 +184,11 @@ void FaultInjector::arm(std::vector<FaultSpec> plan, std::uint64_t seed) {
     fired_ = 0;
     any = !plan_.empty();
   }
-  ScratchArena::set_alloc_probe(&fault_alloc_probe);
   armed_flag().store(any, std::memory_order_relaxed);
 }
 
 void FaultInjector::disarm() {
   armed_flag().store(false, std::memory_order_relaxed);
-  ScratchArena::set_alloc_probe(nullptr);
   std::lock_guard<std::mutex> lock(mu_);
   plan_.clear();
 }
@@ -265,44 +240,22 @@ void FaultInjector::on_cell_start() {
     // unwinding, no flushing beyond what the journal already did per line.
     std::_Exit(137);
   }
-  if (claim(FaultCategory::kWallClockTimeout, -1, {}, &spec))
-    std::this_thread::sleep_for(
-        std::chrono::duration<double, std::milli>(spec.sleep_ms));
   if (claim(FaultCategory::kEngineException, -1, {}, &spec))
     throw std::runtime_error("injected engine exception (cell start)");
 }
 
-std::int64_t FaultInjector::on_phase_charge(std::string_view phase) {
+void FaultInjector::on_phase_charge(std::string_view phase) {
   FaultSpec spec;
-  if (claim(FaultCategory::kWallClockTimeout, -1, phase, &spec))
-    std::this_thread::sleep_for(
-        std::chrono::duration<double, std::milli>(spec.sleep_ms));
   if (claim(FaultCategory::kEngineException, -1, phase, &spec))
     throw std::runtime_error("injected engine exception (phase " +
                              std::string(phase) + ")");
-  if (claim(FaultCategory::kRoundBudgetExceeded, -1, phase, &spec))
-    return spec.extra_rounds;
-  return 0;
 }
 
 void FaultInjector::on_engine_round(int round) {
   FaultSpec spec;
-  if (claim(FaultCategory::kWallClockTimeout, round, {}, &spec))
-    std::this_thread::sleep_for(
-        std::chrono::duration<double, std::milli>(spec.sleep_ms));
   if (claim(FaultCategory::kEngineException, round, {}, &spec))
     throw std::runtime_error("injected engine exception (round " +
                              std::to_string(round) + ")");
-}
-
-void FaultInjector::on_alloc_growth(std::size_t bytes) {
-  FaultSpec spec;
-  if (claim(FaultCategory::kAllocationLimit, -1, {}, &spec))
-    throw CellError(
-        FaultCategory::kAllocationLimit,
-        "injected arena allocation failure (" + std::to_string(bytes) +
-            " bytes requested)",
-        {.node = -1, .round = -1});
 }
 
 void FaultInjector::maybe_corrupt_coloring(std::string_view phase,

@@ -7,12 +7,6 @@
 //
 //   kEngineException    — throw from inside the cell (cell start, a phase
 //                         charge, or an exact engine round)
-//   kAllocationLimit    — fail the next ScratchArena growth with a
-//                         structured allocation-limit CellError
-//   kRoundBudgetExceeded— inflate a phase charge by `extra_rounds` so the
-//                         driver's round-budget enforcement trips naturally
-//   kWallClockTimeout   — sleep `sleep_ms` inside the cell so the driver's
-//                         deadline check trips naturally
 //   kInvariantViolation — corrupt the partial coloring at a validation
 //                         oracle site so the --validate checker detects a
 //                         genuine monochromatic edge
@@ -38,7 +32,7 @@
 // per-binary wiring. Spec grammar:
 //   category@key=value,key=value,...
 // with category one of the to_string(FaultCategory) names and keys
-//   cell= round= phase= node= attempts= extra_rounds= sleep_ms=
+//   cell= round= phase= node= attempts=
 // (attempts=N fires on the first N attempts of a cell, default 1, so a
 // retried cell succeeds; attempts=0 means every attempt, forcing
 // quarantine). A malformed DELTACOLOR_FAULTS value — unknown category,
@@ -72,9 +66,6 @@ struct FaultSpec {
   std::int64_t node = -1;   ///< corruption target (invariant faults)
   /// Fire while the cell's attempt index is < attempts (0 = every attempt).
   int attempts = 1;
-  // Payloads.
-  std::int64_t extra_rounds = 1'000'000'000;  ///< round-budget inflation
-  double sleep_ms = 20.0;                     ///< timeout stall
 };
 
 /// Parses one spec string ("category@k=v,..."). Returns false on grammar
@@ -128,20 +119,14 @@ class FaultInjector {
 
   // --- probe sites -------------------------------------------------------
   /// SweepDriver, immediately after installing the CellScope: fires
-  /// process-kill, cell-coordinate engine exceptions, and timeout stalls.
+  /// process-kill and cell-coordinate engine exceptions.
   void on_cell_start();
 
-  /// LocalContext::charge: fires phase-coordinate engine exceptions and
-  /// timeout stalls; returns extra rounds to charge (round-budget specs).
-  std::int64_t on_phase_charge(std::string_view phase);
+  /// LocalContext::charge: fires phase-coordinate engine exceptions.
+  void on_phase_charge(std::string_view phase);
 
-  /// SyncRunner round loop: fires exact-round engine exceptions and
-  /// timeout stalls.
+  /// SyncRunner round loop: fires exact-round engine exceptions.
   void on_engine_round(int round);
-
-  /// ScratchArena growth (installed as the arena's alloc probe while
-  /// armed): throws an allocation-limit CellError on match.
-  void on_alloc_growth(std::size_t bytes);
 
   /// Validation-oracle site in the composed pipelines: corrupts the
   /// partial coloring (creates a monochromatic edge) on match, so the

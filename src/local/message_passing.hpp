@@ -1,16 +1,16 @@
-// Reference message-passing implementations on the SyncRunner engine.
+// Randomized message-passing algorithms on the SyncRunner engine: Luby's
+// MIS and (Delta+1)-coloring by color trials. They back the registry's
+// "mis" and "trial" algorithms and serve as baselines next to the paper's
+// pipelines.
 //
-// The library's primitives are written as explicit per-round loops with
-// the same information discipline; these SyncRunner versions make the
-// discipline *structural* (a node's transition function literally cannot
-// read anything but its neighbors' previous-round states) and serve as
-// cross-checks: the test suite verifies they deliver the same guarantees
-// as the direct implementations.
+// Like every primitive in the library, they run on SyncRunner, so the
+// information discipline is structural: a node's transition function
+// cannot read anything but its neighbors' previous-round states.
 //
 // Both algorithms accept EngineOptions: results are bit-identical across
 // worker counts (per-node randomness keys on (seed, id, round), so the
 // schedule cannot leak in). Wall-clock is charged to the ledger next to
-// the round count (RoundLedger::charge_time).
+// the round count through ScopedPhaseTimer.
 #pragma once
 
 #include <cstdint>

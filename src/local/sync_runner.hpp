@@ -323,20 +323,4 @@ inline void bucket_by_class(std::span<const Color> labels, int num_classes,
   start[0] = 0;
 }
 
-/// One round of "everyone publishes, everyone reads neighbors" implemented
-/// directly for hand-rolled primitives that keep their own buffers: swaps
-/// `next` into `cur` and returns the incremented round count. An O(1) swap
-/// (not a copy) is all the double-buffer discipline requires: once every
-/// node has written its round-t state into `next`, the buffers trade roles
-/// — `cur` becomes the published round-t snapshot, and the old snapshot
-/// becomes the scratch buffer that round t+1 overwrites slot-by-slot before
-/// the next commit, so its stale contents are never observed. Purely a
-/// readability helper to keep that discipline visible at call sites.
-template <typename State>
-int commit_round(std::vector<State>& cur, std::vector<State>& next,
-                 int rounds) {
-  cur.swap(next);
-  return rounds + 1;
-}
-
 }  // namespace deltacolor

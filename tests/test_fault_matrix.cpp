@@ -15,7 +15,6 @@
 
 #include "bench_support/sweep.hpp"
 #include "bench_support/workloads.hpp"
-#include "common/arena.hpp"
 #include "common/errors.hpp"
 #include "graph/generators.hpp"
 #include "local/context.hpp"
@@ -59,13 +58,6 @@ TEST(FaultSpecGrammar, ParsesCoordinatesAndPayloads) {
   EXPECT_EQ(s.phase, "work");
   EXPECT_EQ(s.attempts, 2);
 
-  const FaultSpec budget = spec_of("round-budget-exceeded@extra_rounds=500");
-  EXPECT_EQ(budget.category, FaultCategory::kRoundBudgetExceeded);
-  EXPECT_EQ(budget.extra_rounds, 500);
-
-  const FaultSpec sleepy = spec_of("wall-clock-timeout@sleep_ms=1.5");
-  EXPECT_DOUBLE_EQ(sleepy.sleep_ms, 1.5);
-
   FaultSpec out;
   EXPECT_FALSE(parse_fault_spec("no-such-category@cell=0", &out));
   EXPECT_FALSE(parse_fault_spec("engine-exception@bogus=1", &out));
@@ -86,12 +78,33 @@ TEST(FaultGrammar, ParsesEveryKeyAndCategory) {
   EXPECT_EQ(spec.phase, "p");
   EXPECT_EQ(spec.attempts, 4);
   for (const char* category :
-       {"invariant-violation", "round-budget-exceeded", "wall-clock-timeout",
-        "allocation-limit", "engine-exception", "process-kill"}) {
+       {"invariant-violation", "engine-exception", "process-kill"}) {
     ASSERT_TRUE(parse_fault_spec(std::string(category) + "@cell=1", &spec,
                                  &error))
         << category << ": " << error;
     EXPECT_EQ(to_string(spec.category), category);
+  }
+}
+
+// Round budgets, deadlines and arena limits were retired with their
+// categories and payload keys: a spec naming them must fail to parse, not
+// arm a fault no site can fire.
+TEST(FaultGrammar, RetiredCategoriesAreUnknown) {
+  FaultSpec spec;
+  for (const char* text :
+       {"round-budget-exceeded@cell=1", "wall-clock-timeout@cell=1",
+        "allocation-limit@cell=1"}) {
+    std::string error;
+    EXPECT_FALSE(parse_fault_spec(text, &spec, &error)) << text;
+    EXPECT_NE(error.find("unknown fault category"), std::string::npos)
+        << text << ": " << error;
+  }
+  for (const char* text :
+       {"engine-exception@extra_rounds=5", "engine-exception@sleep_ms=1"}) {
+    std::string error;
+    EXPECT_FALSE(parse_fault_spec(text, &spec, &error)) << text;
+    EXPECT_NE(error.find("unknown fault key"), std::string::npos)
+        << text << ": " << error;
   }
 }
 
@@ -190,80 +203,28 @@ TEST(FaultMatrix, TransientFaultRetriesThenSucceeds) {
   EXPECT_EQ(driver.ledger().phase_total("retry"), 1);
 }
 
-TEST(FaultMatrix, RoundBudgetInflationTripsTheRealBudgetCheck) {
-  // The injector inflates cell 0's "work" charge by 1000 rounds; the
-  // driver's *real* budget enforcement must classify it.
-  ArmedScope armed(
-      {spec_of("round-budget-exceeded@cell=0,attempts=0,extra_rounds=1000")});
+TEST(FaultMatrix, NotDenseCellIsNotRetried) {
+  // A not-dense input fails under every seed: the cell ends on its first
+  // attempt, charges no "retry" round, and is quarantined as not-dense.
   SweepOptions opt;
   opt.workers = 1;
-  opt.retry.round_budget = 100;
-  opt.retry.quarantine = true;
-  SweepDriver driver(opt);
-  const auto result = driver.run_cells<int>(2, run_work_cell);
-  EXPECT_EQ(result.outcomes[0].status, CellStatus::kQuarantined);
-  EXPECT_EQ(result.outcomes[0].category,
-            FaultCategory::kRoundBudgetExceeded);
-  EXPECT_NE(result.outcomes[0].error.find("budget"), std::string::npos);
-  EXPECT_EQ(result.outcomes[1].status, CellStatus::kOk);
-  EXPECT_EQ(result.rows[1], 1);
-}
-
-TEST(FaultMatrix, InjectedStallTripsTheRealDeadline) {
-  ArmedScope armed(
-      {spec_of("wall-clock-timeout@cell=1,attempts=0,sleep_ms=30")});
-  SweepOptions opt;
-  opt.workers = 1;
-  opt.retry.deadline_ms = 5;
-  opt.retry.quarantine = true;
-  SweepDriver driver(opt);
-  const auto result = driver.run_cells<int>(2, run_work_cell);
-  EXPECT_EQ(result.outcomes[1].status, CellStatus::kQuarantined);
-  EXPECT_EQ(result.outcomes[1].category, FaultCategory::kWallClockTimeout);
-  EXPECT_EQ(result.outcomes[0].status, CellStatus::kOk);
-}
-
-TEST(FaultMatrix, ArenaFaultSurfacesAsAllocationLimit) {
-  ArmedScope armed({spec_of("allocation-limit@cell=0,attempts=0")});
-  SweepOptions opt;
-  opt.workers = 1;
-  opt.retry.quarantine = true;
-  SweepDriver driver(opt);
-  const auto result = driver.run_cells<int>(2, [](std::size_t i,
-                                                  CellContext& ctx) {
-    // An allocation big enough to force arena growth, so the alloc probe
-    // runs (overflow blocks are not reused until reset, so this grows
-    // even if earlier tests warmed the thread's arena).
-    ScratchArena::Frame frame;
-    (void)frame.alloc<std::uint64_t>(1 << 20);
-    return run_work_cell(i, ctx);
-  });
-  EXPECT_EQ(result.outcomes[0].status, CellStatus::kQuarantined);
-  EXPECT_EQ(result.outcomes[0].category, FaultCategory::kAllocationLimit);
-  EXPECT_EQ(result.outcomes[1].status, CellStatus::kOk);
-}
-
-TEST(FaultMatrix, ArenaByteBudgetLimitIsStructured) {
-  // No injector at all: the RetryPolicy's real arena byte budget must
-  // produce the same structured category.
-  SweepOptions opt;
-  opt.workers = 1;
-  opt.retry.arena_limit_bytes = 1024;
+  opt.retry.max_attempts = 3;
   opt.retry.quarantine = true;
   SweepDriver driver(opt);
   const auto result =
       driver.run_cells<int>(2, [](std::size_t i, CellContext& ctx) {
-        if (i == 0) {
-          ScratchArena::Frame frame;
-          (void)frame.alloc<std::uint64_t>(1 << 22);
-        }
+        if (i == 0)
+          throw CellError(FaultCategory::kNotDense,
+                          "input graph is not dense");
         return run_work_cell(i, ctx);
       });
-  EXPECT_EQ(result.outcomes[0].status, CellStatus::kQuarantined);
-  EXPECT_EQ(result.outcomes[0].category, FaultCategory::kAllocationLimit);
-  EXPECT_NE(result.outcomes[0].error.find("byte budget"), std::string::npos);
-  EXPECT_EQ(result.outcomes[1].status, CellStatus::kOk)
-      << "the limit is per-attempt and must be lifted after the cell";
+  const CellOutcome& oc = result.outcomes[0];
+  EXPECT_EQ(oc.status, CellStatus::kQuarantined);
+  EXPECT_EQ(oc.attempts, 1);
+  EXPECT_EQ(to_string(oc.category), "not-dense");
+  EXPECT_EQ(driver.ledger().phase_total("retry"), 0);
+  EXPECT_EQ(result.outcomes[1].status, CellStatus::kOk);
+  EXPECT_EQ(result.rows[1], 1);
 }
 
 TEST(FaultMatrix, CorruptedColoringIsCaughtByThePhaseOracle) {

@@ -446,21 +446,22 @@ TEST(ScratchArena, ManySmallOverflowsStayGeometric) {
 // warm, additional rounds must perform zero heap allocations.
 TEST(SteadyState, EngineRoundsAreAllocationFree) {
   const Graph g = random_regular(64, 6, 1);
-  std::vector<int> init(g.num_nodes());
-  for (NodeId v = 0; v < g.num_nodes(); ++v) init[v] = static_cast<int>(v);
-  SyncRunner<int> runner(g, init, EngineOptions{.num_threads = 1});
-  auto step = [](const SyncRunner<int>::View& view) {
+  using State = std::uint32_t;  // unsigned: the mixing below may wrap
+  std::vector<State> init(g.num_nodes());
+  for (NodeId v = 0; v < g.num_nodes(); ++v) init[v] = static_cast<State>(v);
+  SyncRunner<State> runner(g, init, EngineOptions{.num_threads = 1});
+  auto step = [](const SyncRunner<State>::View& view) {
     ScratchArena::Frame frame(ScratchArena::local());
     const std::size_t n = static_cast<std::size_t>(view.degree()) + 1;
-    int* scratch = frame.alloc<int>(n);
+    State* scratch = frame.alloc<State>(n);
     std::size_t i = 0;
     scratch[i++] = view.self();
     for (const NodeId u : view.neighbors()) scratch[i++] = view.neighbor(u);
-    int acc = view.round();
+    State acc = static_cast<State>(view.round());
     for (std::size_t j = 0; j < i; ++j) acc ^= scratch[j] * 31;
     return acc;
   };
-  auto never = [](const std::vector<int>&) { return false; };
+  auto never = [](const std::vector<State>&) { return false; };
   runner.run(4, step, never);  // warm-up: arena reaches high water
   const std::size_t before = g_alloc_count.load(std::memory_order_relaxed);
   const int rounds = runner.run(64, step, never);

@@ -408,8 +408,8 @@ int cmd_color(int argc, char** argv) {
     // loaded instance; cells are concurrent when sweep workers are
     // available (each cell's engine is then serialized, see sweep.hpp).
     // The retry/journal robustness layer is driven by --retries /
-    // --journal / --resume plus the DELTACOLOR_SWEEP_* env overlay.
-    bench::SweepOptions sweep_opt = bench::sweep_options_from_env();
+    // --journal / --resume.
+    bench::SweepOptions sweep_opt;
     sweep_opt.cell_engine = g_engine;
     if (g_retries > 1) {
       sweep_opt.retry.max_attempts = g_retries;
