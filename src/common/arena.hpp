@@ -121,24 +121,34 @@ class ScratchArena {
   /// Slow path: the primary buffer is full. Bump inside the newest
   /// overflow block while it has room, else open a fresh one (geometric
   /// growth). Blocks coalesce into the primary buffer at the next reset(),
-  /// so warm steady state never re-enters this path.
+  /// so warm steady state never re-enters this path. Offsets are aligned
+  /// against the block's absolute address (heap blocks are only ~16-byte
+  /// aligned), and the fit check uses that same aligned offset.
   void* alloc_overflow(std::size_t bytes, std::size_t align) {
-    if (overflow_.empty() ||
-        ((overflow_used_ + align - 1) & ~(align - 1)) + bytes >
-            overflow_.back().size()) {
-      const std::size_t need = bytes + align;
-      const std::size_t base =
-          overflow_.empty() ? buf_.size() : overflow_.back().size();
-      std::size_t grow = base == 0 ? 4096 : 2 * base;
-      if (grow < need) grow = need;
-      overflow_.emplace_back(grow);
-      overflow_used_ = 0;
-      ++growth_count_;
+    const auto aligned_offset = [align](const std::vector<std::byte>& block,
+                                        std::size_t used) {
+      const std::uintptr_t base =
+          reinterpret_cast<std::uintptr_t>(block.data());
+      return static_cast<std::size_t>(
+          ((base + used + align - 1) & ~(align - 1)) - base);
+    };
+    if (!overflow_.empty()) {
+      auto& block = overflow_.back();
+      const std::size_t off = aligned_offset(block, overflow_used_);
+      if (off + bytes <= block.size()) {
+        overflow_used_ = off + bytes;
+        return block.data() + off;
+      }
     }
-    auto& block = overflow_.back();
-    const std::size_t base = reinterpret_cast<std::uintptr_t>(block.data());
-    const std::size_t off =
-        ((base + overflow_used_ + align - 1) & ~(align - 1)) - base;
+    // A fresh block needs at most align - 1 bytes of padding.
+    const std::size_t need = bytes + align;
+    const std::size_t base =
+        overflow_.empty() ? buf_.size() : overflow_.back().size();
+    std::size_t grow = base == 0 ? 4096 : 2 * base;
+    if (grow < need) grow = need;
+    auto& block = overflow_.emplace_back(grow);
+    ++growth_count_;
+    const std::size_t off = aligned_offset(block, 0);
     overflow_used_ = off + bytes;
     return block.data() + off;
   }

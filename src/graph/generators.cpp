@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <numeric>
 #include <queue>
+#include <unordered_set>
 
 #include "common/check.hpp"
 #include "common/rng.hpp"
@@ -118,18 +119,20 @@ Graph random_regular(NodeId n, int d, std::uint64_t seed) {
     return bad;
   };
 
+  // Pairs met so far in the current repair sweep, keyed min << 32 | max:
+  // the first occurrence of a pair stays, later ones are re-drawn.
+  std::unordered_set<std::uint64_t> seen;
   for (int attempt = 0; attempt < 500 && count_multi() > 0; ++attempt) {
     // Swap one endpoint of every currently-bad pair with a random point.
-    std::vector<std::pair<NodeId, NodeId>> seen;
+    seen.clear();
+    seen.reserve(num_pairs);
     for (std::size_t k = 0; k < num_pairs; ++k) {
       auto [a, b] = pair_of(k);
       const bool self = a == b;
-      bool dup = false;
-      const auto key = std::pair(std::min(a, b), std::max(a, b));
-      if (!self) {
-        dup = std::find(seen.begin(), seen.end(), key) != seen.end();
-        if (!dup) seen.push_back(key);
-      }
+      const bool dup =
+          !self && !seen.insert(static_cast<std::uint64_t>(std::min(a, b))
+                                    << 32 | std::max(a, b))
+                        .second;
       if (self || dup) {
         const std::size_t other = rng.below(points.size());
         std::swap(points[2 * k + 1], points[other]);

@@ -105,52 +105,51 @@ LinialResult linial_reduce(const ViewT& view,
   // field (q, d), which changes between run() calls.
   SyncRunner<std::uint64_t, ViewT> runner(view, initial, ctx.engine());
   std::atomic<bool> failed{false};
+  // Per-stage coefficient table: row v holds the d + 1 base-q digits of
+  // node v's round-(t-1) color, i.e. the polynomial v publishes in stage t.
+  // It is a pure function of the round-(t-1) states, filled once per stage
+  // before the stage's round.
+  std::vector<std::uint32_t> coeff;
 
   // One stage = one engine round with stage-specific (q, d); the step
-  // closure is rebuilt per stage with those scalars captured by value,
-  // together with q's precomputed reciprocal (no hardware divide per
-  // coefficient or Horner step).
-  const auto make_step = [&failed](std::uint64_t q, int d) {
-    const detail::FastDiv div(q);
-    return [div, d, &failed](const auto& v) -> std::uint64_t {
+  // closure is rebuilt per stage with those scalars and the table captured
+  // by value, together with q's precomputed reciprocal (no hardware divide
+  // per Horner step). A step reads only its own and its neighbors' rows.
+  const auto make_step = [&failed](const detail::FastDiv& div, int d,
+                                   const std::uint32_t* table) {
+    return [div, d, table, &failed](const auto& v) -> std::uint64_t {
     const std::uint64_t q = div.divisor();
-    // Decompose the closed neighborhood's colors into base-q coefficient
-    // vectors (the "message" each neighbor publishes is its polynomial).
-    // Scratch lives in the worker's round-local arena (one frame per
-    // step): degree() bounds the neighbor count, so the whole table is
-    // carved up front and the round allocates nothing once arenas are
-    // warm.
     const std::size_t terms = static_cast<std::size_t>(d) + 1;
+    const std::uint32_t* self = table + v.node() * terms;
+    // Neighbor rows go into the worker's round-local arena (one frame per
+    // step, degree() bounds the count), so the round allocates nothing
+    // once arenas are warm. At x = 0 every polynomial evaluates to its
+    // constant coefficient, so that point is tested while collecting.
     ScratchArena::Frame frame(ScratchArena::local());
-    std::uint32_t* self_coeff = frame.alloc<std::uint32_t>(terms);
-    std::uint32_t* nbr_coeff = frame.alloc<std::uint32_t>(
-        (static_cast<std::size_t>(v.degree()) + 1) * terms);
-    const auto decompose = [&](std::uint64_t c, std::uint32_t* out) {
-      for (std::size_t i = 0; i < terms; ++i) {
-        const auto [quot, rem] = div.divmod(c);
-        out[i] = static_cast<std::uint32_t>(rem);
-        c = quot;
-      }
-    };
-    decompose(v.self(), self_coeff);
+    const std::uint32_t** nbr = frame.alloc<const std::uint32_t*>(
+        static_cast<std::size_t>(v.degree()));
     std::size_t nbrs = 0;
+    bool zero_separates = true;
     v.for_each_neighbor([&](NodeId u) {
       if (u == v.node()) return;
-      decompose(v.neighbor(u), nbr_coeff + nbrs * terms);
-      ++nbrs;
+      const std::uint32_t* a = table + u * terms;
+      zero_separates = zero_separates && a[0] != self[0];
+      nbr[nbrs++] = a;
     });
+    if (zero_separates) return self[0];
     const auto eval = [&](const std::uint32_t* a, std::uint64_t x) {
       std::uint64_t acc = 0;
       for (int i = d; i >= 0; --i) acc = div.mod(acc * x + a[i]);
       return acc;
     };
-    // Scan evaluation points until one separates this node from every
-    // neighbor; guaranteed to exist since bad points number <= Delta*d < q.
-    for (std::uint64_t x = 0; x < q; ++x) {
-      const std::uint64_t mine = eval(self_coeff, x);
+    // Scan the remaining evaluation points until one separates this node
+    // from every neighbor; guaranteed to exist since bad points number
+    // <= Delta*d < q.
+    for (std::uint64_t x = 1; x < q; ++x) {
+      const std::uint64_t mine = eval(self, x);
       bool ok = true;
       for (std::size_t j = 0; j < nbrs && ok; ++j) {
-        if (eval(nbr_coeff + j * terms, x) == mine) ok = false;
+        if (eval(nbr[j], x) == mine) ok = false;
       }
       if (ok) return x * q + mine;
     }
@@ -161,7 +160,19 @@ LinialResult linial_reduce(const ViewT& view,
   for (;;) {
     const auto [q, d] = detail::linial_choose_field(max_degree, max_val);
     if (q * q > max_val) break;  // fixed point: no further progress
-    runner.run_rounds(1, make_step(q, d));
+    const detail::FastDiv div(q);
+    const std::size_t terms = static_cast<std::size_t>(d) + 1;
+    coeff.resize(static_cast<std::size_t>(n) * terms);
+    const auto& states = runner.states();
+    for (NodeId v = 0; v < n; ++v) {
+      std::uint64_t c = states[v];
+      for (std::size_t i = 0; i < terms; ++i) {
+        const auto [quot, rem] = div.divmod(c);
+        coeff[v * terms + i] = static_cast<std::uint32_t>(rem);
+        c = quot;
+      }
+    }
+    runner.run_rounds(1, make_step(div, d, coeff.data()));
     DC_CHECK_MSG(!failed.load(std::memory_order_relaxed),
                  "Linial: no collision-free point (q=" << q << ")");
     max_val = q * q - 1;

@@ -29,19 +29,20 @@ struct Triad {
   NodeId pair_out = kNoNode;
 };
 
-// Marks all vertices within `radius` of v.
-void mark_ball(const Graph& g, NodeId v, int radius, NodeMask& mark) {
-  std::queue<std::pair<NodeId, int>> q;
-  q.emplace(v, 0);
+// Marks all vertices within `radius` of v; `frontier` is reusable BFS
+// storage.
+void mark_ball(const Graph& g, NodeId v, int radius, NodeMask& mark,
+               std::vector<std::pair<NodeId, int>>& frontier) {
+  frontier.clear();
+  frontier.emplace_back(v, 0);
   mark[v] = 1;
-  while (!q.empty()) {
-    const auto [x, d] = q.front();
-    q.pop();
+  for (std::size_t head = 0; head < frontier.size(); ++head) {
+    const auto [x, d] = frontier[head];
     if (d == radius) continue;
     for (const NodeId y : g.neighbors(x)) {
       if (!mark[y]) {
         mark[y] = 1;
-        q.emplace(y, d + 1);
+        frontier.emplace_back(y, d + 1);
       }
     }
   }
@@ -98,8 +99,8 @@ RandomizedResult randomized_delta_color(const Graph& g,
 
   // ------------------------------------------------------ Pre-shattering
   // Randomized T-node placement with O(log Delta) retry rounds; accepted
-  // pairs are colored kTnodeColor, accepted triads keep distance >=
-  // `spacing` from each other.
+  // pairs are colored kTnodeColor, and future pair vertices keep distance
+  // > `spacing` from accepted pair vertices.
   std::vector<Triad> triad_of_clique(acd.cliques.size());
   NodeMask placed(acd.cliques.size(), 0);
   // Slack vertices must stay uncolored and unshared; future *pair*
@@ -108,11 +109,20 @@ RandomizedResult randomized_delta_color(const Graph& g,
   // three triad vertices would forbid neighboring cliques entirely.
   NodeMask slack_used(g.num_nodes(), 0);
   NodeMask pair_blocked(g.num_nodes(), 0);
+  // near_pair[y]: y neighbors a kTnodeColor vertex, so it cannot join a
+  // pair (all pairs share one color).
+  NodeMask near_pair(g.num_nodes(), 0);
   {
     ScopedPhaseTimer timer(res.ledger, "rand-preshattering");
+    std::vector<std::pair<std::uint64_t, int>> order;
+    std::vector<NodeId> ext, inner;
+    std::vector<std::pair<NodeId, int>> frontier;
+    const auto free_for_pair = [&](NodeId x) {
+      return !pair_blocked[x] && !slack_used[x] && res.color[x] == kNoColor;
+    };
     for (int round = 0; round < options.placement_rounds; ++round) {
       // Random processing priority simulates the local conflict resolution.
-      std::vector<std::pair<std::uint64_t, int>> order;
+      order.clear();
       for (const int c : hard_acs)
         if (!placed[static_cast<std::size_t>(c)])
           order.emplace_back(hash_mix(options.seed, c, round), c);
@@ -124,36 +134,34 @@ RandomizedResult randomized_delta_color(const Graph& g,
           if (slack_used[u] || res.color[u] != kNoColor) continue;
           // External neighbor of u, not a loophole member (its easy clique
           // must keep its loophole intact), unblocked, uncolored.
-          std::vector<NodeId> ext;
+          ext.clear();
           for (const NodeId x : g.neighbors(u))
-            if (acd.clique_of[x] != c && !pair_blocked[x] && !slack_used[x] &&
-                res.color[x] == kNoColor && !loopholes.vertex_in_loophole(x))
+            if (acd.clique_of[x] != c && free_for_pair(x) &&
+                !loopholes.vertex_in_loophole(x))
               ext.push_back(x);
           if (ext.empty()) continue;
           const NodeId w = ext[rng.below(ext.size())];
-          // Pair partner inside the clique, non-adjacent to w.
-          std::vector<NodeId> inner;
+          // Pair partner inside the clique, adjacent to u and non-adjacent
+          // to w: every other member qualifies, since a hard clique is a
+          // clique and no outsider has two neighbors in it (Lemma 9,
+          // checked by classify_hardness).
+          inner.clear();
           for (const NodeId x : members)
-            if (x != u && !pair_blocked[x] && !slack_used[x] &&
-                res.color[x] == kNoColor && g.has_edge(u, x) &&
-                !g.has_edge(x, w))
-              inner.push_back(x);
+            if (x != u && free_for_pair(x)) inner.push_back(x);
           if (inner.empty()) continue;
           const NodeId v = inner[rng.below(inner.size())];
-          // Pair independence: all pairs share kTnodeColor, so neither v nor
-          // w may touch an existing pair vertex.
-          bool clash = false;
-          for (const NodeId x : {v, w})
-            for (const NodeId y : g.neighbors(x))
-              if (res.color[y] == kTnodeColor) clash = true;
-          if (clash) continue;
+          // Pair independence: neither v nor w may touch an existing pair
+          // vertex.
+          if (near_pair[v] || near_pair[w]) continue;
           res.color[v] = kTnodeColor;
           res.color[w] = kTnodeColor;
+          for (const NodeId x : {v, w})
+            for (const NodeId y : g.neighbors(x)) near_pair[y] = 1;
           triad_of_clique[static_cast<std::size_t>(c)] = Triad{u, v, w};
           placed[static_cast<std::size_t>(c)] = 1;
           slack_used[u] = 1;
-          mark_ball(g, v, options.spacing, pair_blocked);
-          mark_ball(g, w, options.spacing, pair_blocked);
+          mark_ball(g, v, options.spacing, pair_blocked, frontier);
+          mark_ball(g, w, options.spacing, pair_blocked, frontier);
           break;
         }
       }

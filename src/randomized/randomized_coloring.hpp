@@ -8,17 +8,24 @@
 //      the branch is detected and reported only.
 //   3. Pre-shattering: every hard clique repeatedly (O(log Delta) retry
 //      rounds with fresh randomness) attempts to place a T-node — a slack
-//      triad whose pair is colored with the reserved color 0. Accepted
-//      pairs are pairwise non-adjacent and triads keep distance >= b from
-//      each other, bounding the "useless" vertices per clique (Section 4).
-//   4. Post-shattering: cliques that failed all retries form components in
-//      the clique-adjacency graph; each component is colored by the
-//      modified deterministic pipeline (extended pseudo-loopholes =
+//      triad whose pair is colored with the reserved color 0. Within a
+//      round, the unplaced cliques are handled one after another in a
+//      random priority order (a sequential greedy). Accepted pairs are
+//      pairwise non-adjacent, and a later pair vertex must lie at distance
+//      > `spacing` from every accepted pair vertex, which bounds the
+//      "useless" vertices per clique (Section 4). `spacing` defaults to 0,
+//      which blocks only the accepted pair vertices themselves.
+//   4. Layering: BFS balls of depth `layer_depth` around the slack
+//      vertices, through uncolored hard vertices, cover what
+//      post-processing colors.
+//   5. Post-shattering: the uncovered, uncolored hard vertices form
+//      vertex-level components (connected in G); each component is colored
+//      by the modified deterministic pipeline (extended pseudo-loopholes =
 //      vertices with an uncolored neighbor outside the component or two
 //      same-colored neighbors; slack-pair color space {1..Delta-1};
 //      tolerated useless vertices). Components run in parallel in LOCAL:
 //      the round cost charged is the maximum over components.
-//   5. Post-processing: bodies of successful cliques (deg+1 instances
+//   6. Post-processing: bodies of successful cliques (deg+1 instances
 //      exploiting the uncolored slack vertex), then the slack vertices
 //      (two same-colored neighbors), then easy cliques and loopholes via
 //      Algorithm 3.
@@ -44,9 +51,9 @@ struct RandomizedOptions {
   /// settings.
   EngineOptions engine;
   std::uint64_t seed = 1;
-  /// T-node spacing parameter b (Section 4): future pair vertices keep
-  /// this distance from accepted pairs, bounding useless vertices per
-  /// clique. Constant, adjustable.
+  /// T-node spacing parameter b (Section 4): a future pair vertex must lie
+  /// at distance > spacing from every accepted pair vertex, bounding
+  /// useless vertices per clique. Constant, adjustable.
   int spacing = 0;
   /// Retry rounds for T-node placement; failure probability decays
   /// geometrically per round.

@@ -2,6 +2,8 @@
 // instances that realize the paper's workloads.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+
 #include "graph/checker.hpp"
 #include "graph/generators.hpp"
 
@@ -34,6 +36,20 @@ TEST(Elementary, RandomRegularIsRegular) {
     Graph g = random_regular(64, d, 1234 + d);
     for (NodeId v = 0; v < g.num_nodes(); ++v) EXPECT_EQ(g.degree(v), d);
   }
+}
+
+// random_regular's pairing repair dedups pairs in first-occurrence order;
+// this pins the output of a large, high-degree case (m = 131072) so that
+// the repair's dedup structure cannot change which pairs get re-drawn.
+TEST(Elementary, RandomRegularLargePinned) {
+  const Graph g = random_regular(2048, 128, 5);
+  ASSERT_EQ(g.num_edges(), 2048u * 128u / 2u);
+  std::uint64_t h = 1469598103934665603ULL;
+  for (EdgeId e = 0; e < g.num_edges(); ++e) {
+    const auto [a, b] = g.endpoints(e);
+    h = (h ^ (static_cast<std::uint64_t>(a) << 32 | b)) * 1099511628211ULL;
+  }
+  EXPECT_EQ(h, 0xc6dcd67e030fd7c4ULL) << std::hex << "got 0x" << h;
 }
 
 TEST(NumberTheory, NextPrime) {

@@ -5,7 +5,9 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cstdint>
 #include <cstdlib>
+#include <cstring>
 #include <new>
 #include <set>
 #include <vector>
@@ -419,6 +421,36 @@ TEST(ScratchArena, OverflowCoalescesAtReset) {
   }
   EXPECT_EQ(arena.growth_count(), warm_growth) << "warm epoch re-grew";
   EXPECT_EQ(arena.capacity(), warm_capacity);
+}
+
+// Overflow blocks come from the heap, which aligns them to ~16 bytes only,
+// so the padding a 32-byte-aligned request needs depends on the block's
+// address, not just on the bump offset. The fit check must count that
+// padding: every byte handed out is written here, and a request that
+// spills past its block's end corrupts the neighboring heap chunk (glibc
+// aborts when the block is freed; sanitizers flag the write). Mixed
+// request sizes (the neighbor-row tables of varying degree that Linial's
+// step carves) are what reach a block's last bytes with a short padding
+// estimate.
+TEST(ScratchArena, OverflowAllocationsFitTheirBlock) {
+  Rng rng(17);
+  for (int trial = 0; trial < 64; ++trial) {
+    // Shifts the heap so the blocks below land at varying addresses.
+    std::vector<std::byte> shift(static_cast<std::size_t>(16 * trial + 1));
+    ScratchArena arena;
+    arena.reset();
+    {
+      ScratchArena::Frame f(arena);
+      for (int i = 0; i < 2000; ++i) {
+        const std::size_t count = 1 + rng.below(16);
+        std::uint64_t* p = f.alloc<std::uint64_t>(count);
+        ASSERT_EQ(reinterpret_cast<std::uintptr_t>(p) % ScratchArena::kMinAlign,
+                  0u);
+        std::memset(p, 0xab, count * sizeof(std::uint64_t));
+      }
+    }
+    arena.reset();  // folds (and frees) the overflow blocks
+  }
 }
 
 TEST(ScratchArena, ManySmallOverflowsStayGeometric) {

@@ -3,9 +3,16 @@
 // of graph families plus round-complexity sanity (log* shape).
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
+#include <string>
+#include <vector>
+
+#include "common/rng.hpp"
 #include "common/stats.hpp"
 #include "graph/checker.hpp"
 #include "graph/generators.hpp"
+#include "graph/graph_view.hpp"
 #include "local/ledger.hpp"
 #include "primitives/linial.hpp"
 #include "primitives/list_coloring.hpp"
@@ -77,6 +84,60 @@ TEST(Linial, AdversarialIdsStillProper) {
   RoundLedger ledger;
   const LinialResult res = linial_coloring(g, ledger);
   EXPECT_TRUE(is_proper_coloring(g, res.color, res.num_colors));
+}
+
+// Pins every stage of Linial's reduction. 64-bit identifiers force a first
+// stage with a high-degree polynomial (d >= 2) and at least two stages in
+// all, and colliding constant coefficients force some nodes past the
+// evaluation point x = 0 (their color x*q + p(x) reaches q or more). Runs on
+// the host Graph, an InducedSubgraphView and the LineGraphView behind
+// linial_edge_coloring, at 1 and 4 workers; the hashes cover colors,
+// rounds and palette size.
+std::uint64_t linial_hash(const LinialResult& r) {
+  std::uint64_t h = 1469598103934665603ULL;
+  const auto mix = [&h](std::uint64_t v) { h = (h ^ v) * 1099511628211ULL; };
+  for (const Color c : r.color) mix(static_cast<std::uint64_t>(c) + 1);
+  mix(static_cast<std::uint64_t>(r.rounds));
+  mix(static_cast<std::uint64_t>(r.num_colors));
+  return h;
+}
+
+TEST(Linial, MultiStagePinned) {
+  Graph g = random_regular(600, 8, 3);
+  std::vector<std::uint64_t> ids(g.num_nodes());
+  std::uint64_t state = 0x5eed;
+  for (std::uint64_t& id : ids) id = splitmix64(state) | (1ull << 63);
+  g.set_ids(ids);
+  std::vector<NodeId> subset;
+  for (NodeId v = 0; v < g.num_nodes(); ++v)
+    if (v % 3 != 0) subset.push_back(v);
+  const InducedSubgraphView sub(g, subset);
+
+  for (const int workers : {1, 4}) {
+    const std::string where = "workers=" + std::to_string(workers);
+    RoundLedger ledger;
+    LocalContext ctx(ledger, EngineOptions{.num_threads = workers});
+
+    const LinialResult host = linial_coloring(g, ctx);
+    EXPECT_TRUE(is_proper_coloring(g, host.color, host.num_colors));
+    EXPECT_EQ(host.rounds, 3) << where;
+    EXPECT_EQ(host.num_colors, 17 * 17) << where;
+    EXPECT_TRUE(std::any_of(host.color.begin(), host.color.end(),
+                            [](Color c) { return c >= 17; }))
+        << "no node needed an evaluation point x > 0";
+    EXPECT_EQ(linial_hash(host), 0x721ba8259e7070d4ULL)
+        << where << std::hex << " got 0x" << linial_hash(host);
+
+    const LinialResult induced = linial_coloring(sub, ctx);
+    EXPECT_GE(induced.rounds, 2) << where;
+    EXPECT_EQ(linial_hash(induced), 0x90ea96c01f16b440ULL)
+        << where << std::hex << " got 0x" << linial_hash(induced);
+
+    const LinialResult edges = linial_edge_coloring(g, ctx);
+    EXPECT_GE(edges.rounds, 2) << where;
+    EXPECT_EQ(linial_hash(edges), 0xe8a41cbeb67e21a1ULL)
+        << where << std::hex << " got 0x" << linial_hash(edges);
+  }
 }
 
 TEST(Linial, EmptyAndSingleton) {

@@ -3,7 +3,9 @@
 // shattering behavior, and the reserved-color mechanics.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <ostream>
+#include <string>
 
 #include "common/errors.hpp"
 #include "graph/checker.hpp"
@@ -125,6 +127,53 @@ TEST(Randomized, PaperExactParametersAtDelta63) {
   EXPECT_TRUE(res.dense);
   EXPECT_TRUE(res.valid);
   EXPECT_GT(res.stats.tnodes_placed, 0);
+}
+
+// Pins pre-shattering's RNG stream: the T-node placement draws
+// rng.below() with the clique size, then the external-candidate count, then
+// the inner-candidate count, so any change to the candidate sets, their
+// order, or the clash rule moves the coloring. The grid covers spacing
+// 0..2 and 2 or 6 placement rounds, which between them exercise the
+// clash, empty-candidate and post-shattering-component paths. Regenerate
+// the hashes only for a deliberate change to the placement rule.
+struct PreshatteringGolden {
+  int spacing, placement_rounds;
+  std::uint64_t hash;
+  int tnodes_placed, components;
+};
+
+std::uint64_t coloring_hash(const RandomizedResult& r) {
+  std::uint64_t h = 1469598103934665603ULL;
+  const auto mix = [&h](std::uint64_t v) { h = (h ^ v) * 1099511628211ULL; };
+  for (const Color c : r.color) mix(static_cast<std::uint64_t>(c) + 1);
+  mix(static_cast<std::uint64_t>(r.ledger.total()));
+  return h;
+}
+
+TEST(Randomized, PreshatteringPinnedOnBlowups) {
+  constexpr PreshatteringGolden kCases[] = {
+      {0, 2, 0x1cde6fc3009673c0ULL, 117, 0},
+      {0, 6, 0x1cde83c3009695bcULL, 117, 0},
+      {1, 2, 0x1c7d3cc2ef80034fULL, 117, 0},
+      {1, 6, 0x1c7c60c2ef7e8d7bULL, 117, 0},
+      {2, 2, 0xde98ed0a55f020a9ULL, 85, 2},
+      {2, 6, 0xf729a4f807291011ULL, 86, 2},
+  };
+  const CliqueInstance inst = blowup(256, 16, 16, 0.25, 71);
+  for (const PreshatteringGolden& c : kCases) {
+    RandomizedOptions opt = scaled_randomized_options(16, 13);
+    opt.engine.num_threads = 1;
+    opt.spacing = c.spacing;
+    opt.placement_rounds = c.placement_rounds;
+    const auto res = randomized_delta_color(inst.graph, opt);
+    ASSERT_TRUE(res.valid);
+    const std::string where = "spacing=" + std::to_string(c.spacing) +
+                              " rounds=" + std::to_string(c.placement_rounds);
+    EXPECT_EQ(coloring_hash(res), c.hash) << where << std::hex
+                                          << " got 0x" << coloring_hash(res);
+    EXPECT_EQ(res.stats.tnodes_placed, c.tnodes_placed) << where;
+    EXPECT_EQ(res.stats.components, c.components) << where;
+  }
 }
 
 TEST(Randomized, Fhm23GuardNeverFiresAtSimulationScale) {
