@@ -23,7 +23,8 @@ struct Hardness {
 /// Classifies ACs. When `verify_lemma9` is set (default), every hard clique
 /// is checked against Lemma 9: it is a clique, every member has degree
 /// exactly Delta, and no outsider has two neighbors inside — violations
-/// throw, since they would certify a loophole the detector missed.
+/// throw, since they would certify a loophole the detector missed. The
+/// three checks share one pass over the arcs, O(n + m).
 Hardness classify_hardness(const Graph& g, const Acd& acd,
                            const LoopholeSet& loopholes,
                            bool verify_lemma9 = true);

@@ -1,9 +1,12 @@
 #include "core/loopholes.hpp"
 
 #include <algorithm>
-#include <map>
+#include <span>
+#include <unordered_map>
 
 #include "common/check.hpp"
+#include "common/rng.hpp"
+#include "local/sync_runner.hpp"
 
 namespace deltacolor {
 
@@ -93,7 +96,14 @@ class Accumulator {
  private:
   const Graph& g_;
   LoopholeSet& out_;
-  std::map<std::vector<NodeId>, std::size_t> index_;
+  struct KeyHash {
+    std::size_t operator()(const std::vector<NodeId>& key) const {
+      std::uint64_t h = key.size();
+      for (const NodeId v : key) h = hash_mix(h, v);
+      return static_cast<std::size_t>(h);
+    }
+  };
+  std::unordered_map<std::vector<NodeId>, std::size_t, KeyHash> index_;
 };
 
 }  // namespace
@@ -127,6 +137,19 @@ std::vector<NodeId> common_in(const Graph& g, const std::vector<NodeId>& pool,
   return out;
 }
 
+// A cross edge (endpoints in ACs lo < hi).
+struct CrossEdge {
+  int lo, hi;
+  EdgeId edge;
+};
+
+// An AC pair linked by cross edges, with the first two of them by edge id.
+struct AcPair {
+  int lo, hi;
+  EdgeId edges[2];
+  int size;
+};
+
 }  // namespace
 
 LoopholeSet find_loopholes_dense(const Graph& g, const Acd& acd,
@@ -136,14 +159,15 @@ LoopholeSet find_loopholes_dense(const Graph& g, const Acd& acd,
   Accumulator acc(g, res);
   const int delta = g.max_degree();
   const NodeId n = g.num_nodes();
+  const std::size_t num_acs = acd.cliques.size();
 
   // (a) degree loopholes.
   for (NodeId v = 0; v < n; ++v)
     if (g.degree(v) < delta) acc.add(Loophole{{v}});
 
   // Internal degrees (needed by (b)); cliques flagged per AC.
-  std::vector<bool> ac_is_clique(acd.cliques.size(), true);
-  for (std::size_t c = 0; c < acd.cliques.size(); ++c) {
+  std::vector<bool> ac_is_clique(num_acs, true);
+  for (std::size_t c = 0; c < num_acs; ++c) {
     const auto& members = acd.cliques[c];
     for (const NodeId v : members) {
       int internal = 0;
@@ -155,7 +179,7 @@ LoopholeSet find_loopholes_dense(const Graph& g, const Acd& acd,
     }
   }
   // (b) non-clique ACs: witness 4-cycle u1-u3-u2-u4 around a missing pair.
-  for (std::size_t c = 0; c < acd.cliques.size(); ++c) {
+  for (std::size_t c = 0; c < num_acs; ++c) {
     if (ac_is_clique[c]) continue;
     const auto& members = acd.cliques[c];
     bool added = false;
@@ -175,14 +199,16 @@ LoopholeSet find_loopholes_dense(const Graph& g, const Acd& acd,
 
   // (c) outsiders with two neighbors in a foreign AC:
   // witness 4-cycle w-u1-c1-u2 with c1 in the AC non-adjacent to w.
+  std::vector<std::pair<int, NodeId>> by_ac;
   for (NodeId w = 0; w < n; ++w) {
     // Group neighbors by foreign AC.
-    std::vector<std::pair<int, NodeId>> by_ac;
+    by_ac.clear();
     for (const NodeId u : g.neighbors(w)) {
       const int c = acd.clique_of[u];
       if (c == -1 || c == acd.clique_of[w]) continue;
       by_ac.emplace_back(c, u);
     }
+    if (by_ac.size() < 2) continue;
     std::sort(by_ac.begin(), by_ac.end());
     for (std::size_t i = 0; i + 1 < by_ac.size(); ++i) {
       if (by_ac[i].first != by_ac[i + 1].first) continue;
@@ -202,71 +228,114 @@ LoopholeSet find_loopholes_dense(const Graph& g, const Acd& acd,
     }
   }
 
-  // Cross-edge bookkeeping for (d), (e), (f): up to two witnesses per AC
-  // pair.
-  std::map<std::pair<int, int>, std::vector<EdgeId>> pair_edges;
+  // Cross-edge bookkeeping for (d), (e), (f). Cross edges (endpoints in
+  // two different ACs), in edge-id order; `multi` records whether some
+  // vertex carries two of them.
+  std::vector<CrossEdge> cross;
+  std::vector<char> has_cross(n, 0);
+  bool multi = false;
   for (EdgeId e = 0; e < g.num_edges(); ++e) {
     const auto [u, v] = g.endpoints(e);
     const int cu = acd.clique_of[u], cv = acd.clique_of[v];
     if (cu == -1 || cv == -1 || cu == cv) continue;
-    auto& lst = pair_edges[{std::min(cu, cv), std::max(cu, cv)}];
-    if (lst.size() < 2) lst.push_back(e);
+    cross.push_back({std::min(cu, cv), std::max(cu, cv), e});
+    for (const NodeId x : {u, v}) {
+      multi |= has_cross[x] != 0;
+      has_cross[x] = 1;
+    }
+  }
+  // Stable counting sorts by hi, then by lo, visit the cross edges in AC
+  // pair key order (lo, hi), edge ids ascending within a pair. Each pair
+  // keeps its first two edges.
+  const int num_classes = static_cast<int>(num_acs);
+  std::vector<Color> key(cross.size());
+  std::vector<std::size_t> start;
+  std::vector<NodeId> by_hi, by_pair;
+  for (std::size_t i = 0; i < cross.size(); ++i) key[i] = cross[i].hi;
+  bucket_by_class(key, num_classes, start, by_hi);
+  for (std::size_t i = 0; i < cross.size(); ++i) key[i] = cross[by_hi[i]].lo;
+  bucket_by_class(key, num_classes, start, by_pair);
+  std::vector<AcPair> pairs;
+  for (const NodeId i : by_pair) {
+    const CrossEdge& x = cross[by_hi[i]];
+    if (pairs.empty() || pairs.back().lo != x.lo || pairs.back().hi != x.hi)
+      pairs.push_back({x.lo, x.hi, {x.edge, kNoEdge}, 1});
+    else if (pairs.back().size < 2)
+      pairs.back().edges[pairs.back().size++] = x.edge;
   }
 
   // (d) doubly-linked AC pairs: 4-cycle across the two cross edges.
-  for (const auto& [key, lst] : pair_edges) {
-    if (lst.size() < 2) continue;
-    auto [a1, b1] = g.endpoints(lst[0]);
-    auto [a2, b2] = g.endpoints(lst[1]);
-    // Normalize sides: a* in key.first's AC.
-    if (acd.clique_of[a1] != key.first) std::swap(a1, b1);
-    if (acd.clique_of[a2] != key.first) std::swap(a2, b2);
+  for (const AcPair& p : pairs) {
+    if (p.size < 2) continue;
+    auto [a1, b1] = g.endpoints(p.edges[0]);
+    auto [a2, b2] = g.endpoints(p.edges[1]);
+    // Normalize sides: a* in p.lo's AC.
+    if (acd.clique_of[a1] != p.lo) std::swap(a1, b1);
+    if (acd.clique_of[a2] != p.lo) std::swap(a2, b2);
     if (a1 == a2 || b1 == b2) continue;            // case (c) territory
     if (!g.has_edge(a1, a2) || !g.has_edge(b1, b2)) continue;
     if (g.has_edge(a1, b2) || g.has_edge(a2, b1)) continue;  // (c) catches
     acc.add(Loophole{{a1, b1, b2, a2}});
   }
 
-  // (e) AC triangles: assemble an even cycle from the three witness cross
-  // edges if the connector parity works out (always does when every vertex
-  // has a single cross edge).
+  // (e) AC triangles c1 < c2 < c3: assemble an even cycle from the three
+  // witness cross edges if the connector parity works out (always does
+  // when every vertex has a single cross edge).
   {
-    // AC adjacency lists.
-    std::vector<std::vector<int>> ac_nbrs(acd.cliques.size());
-    for (const auto& [key, lst] : pair_edges) {
-      (void)lst;
-      ac_nbrs[static_cast<std::size_t>(key.first)].push_back(key.second);
-      ac_nbrs[static_cast<std::size_t>(key.second)].push_back(key.first);
+    // AC adjacency lists: entry 2p is pair p seen from its lo AC, 2p + 1
+    // from its hi AC. Bucketed in entry order, i.e. pair key order, every
+    // list ascends by neighbor.
+    key.resize(2 * pairs.size());
+    for (std::size_t p = 0; p < pairs.size(); ++p) {
+      key[2 * p] = pairs[p].lo;
+      key[2 * p + 1] = pairs[p].hi;
     }
-    auto linked = [&](int x, int y) {
-      return pair_edges.count({std::min(x, y), std::max(x, y)}) > 0;
+    std::vector<std::size_t> ac_off;
+    std::vector<NodeId> ac_entry;
+    bucket_by_class(key, num_classes, ac_off, ac_entry);
+    const auto nbrs = [&](std::size_t c) {
+      return std::span<const NodeId>(ac_entry.data() + ac_off[c],
+                                     ac_off[c + 1] - ac_off[c]);
     };
-    for (std::size_t c1 = 0; c1 < acd.cliques.size(); ++c1) {
-      const auto& nb = ac_nbrs[c1];
-      for (std::size_t i = 0; i < nb.size(); ++i) {
-        for (std::size_t j = i + 1; j < nb.size(); ++j) {
-          const int c2 = std::min(nb[i], nb[j]), c3 = std::max(nb[i], nb[j]);
-          if (static_cast<int>(c1) > c2) continue;  // canonical: c1 < c2 < c3
-          if (!linked(c2, c3)) continue;
+    const auto neighbor = [&](NodeId entry) {
+      const AcPair& p = pairs[entry / 2];
+      return entry % 2 == 0 ? p.hi : p.lo;
+    };
+    // stamp[c] == c1 iff AC c is linked to c1, through pair with_c1[c].
+    std::vector<int> stamp(num_acs, -1);
+    std::vector<NodeId> with_c1(num_acs, 0);
+    const auto side = [&](EdgeId f, int c) {  // endpoints of f, first in c
+      auto [x, y] = g.endpoints(f);
+      if (acd.clique_of[x] != c) std::swap(x, y);
+      return std::pair<NodeId, NodeId>{x, y};
+    };
+    std::vector<NodeId> cyc;
+    for (std::size_t c1 = 0; c1 < num_acs; ++c1) {
+      const int ic1 = static_cast<int>(c1);
+      for (const NodeId entry : nbrs(c1)) {
+        const auto c = static_cast<std::size_t>(neighbor(entry));
+        stamp[c] = ic1;
+        with_c1[c] = entry / 2;
+      }
+      for (const NodeId entry12 : nbrs(c1)) {
+        const int c2 = neighbor(entry12);
+        if (c2 < ic1) continue;
+        for (const NodeId entry23 : nbrs(static_cast<std::size_t>(c2))) {
+          const int c3 = neighbor(entry23);
+          if (c3 <= c2 || stamp[static_cast<std::size_t>(c3)] != ic1)
+            continue;
           // Try the stored witness combinations for an even assembly.
-          const auto& e12 =
-              pair_edges[{std::min<int>(c1, c2), std::max<int>(c1, c2)}];
-          const auto& e23 = pair_edges[{c2, c3}];
-          const auto& e31 =
-              pair_edges[{std::min<int>(c1, c3), std::max<int>(c1, c3)}];
+          const AcPair& e12 = pairs[entry12 / 2];
+          const AcPair& e23 = pairs[entry23 / 2];
+          const AcPair& e31 = pairs[with_c1[static_cast<std::size_t>(c3)]];
           bool added = false;
-          for (const EdgeId f12 : e12) {
-            for (const EdgeId f23 : e23) {
-              for (const EdgeId f31 : e31) {
-                if (added) break;
-                auto [a, b] = g.endpoints(f12);  // a in C1, b in C2
-                if (acd.clique_of[a] != static_cast<int>(c1))
-                  std::swap(a, b);
-                auto [cc, d] = g.endpoints(f23);  // cc in C2, d in C3
-                if (acd.clique_of[cc] != c2) std::swap(cc, d);
-                auto [x, y] = g.endpoints(f31);  // x in C3, y in C1
-                if (acd.clique_of[x] != c3) std::swap(x, y);
-                std::vector<NodeId> cyc{a, b};
+          for (int i = 0; i < e12.size && !added; ++i) {
+            const auto [a, b] = side(e12.edges[i], ic1);  // a in C1, b in C2
+            for (int j = 0; j < e23.size && !added; ++j) {
+              const auto [cc, d] = side(e23.edges[j], c2);  // cc in C2, d in C3
+              for (int k = 0; k < e31.size && !added; ++k) {
+                const auto [x, y] = side(e31.edges[k], c3);  // x in C3, y in C1
+                cyc.assign({a, b});
                 if (cc != b) cyc.push_back(cc);
                 cyc.push_back(d);
                 if (x != d) cyc.push_back(x);
@@ -278,9 +347,7 @@ LoopholeSet find_loopholes_dense(const Graph& g, const Acd& acd,
                   added = true;
                 }
               }
-              if (added) break;
             }
-            if (added) break;
           }
         }
       }
@@ -289,42 +356,37 @@ LoopholeSet find_loopholes_dense(const Graph& g, const Acd& acd,
 
   // (f) short cycles of the cross-edge subgraph (only possible when
   // vertices carry two or more cross edges).
-  {
-    std::vector<std::pair<NodeId, NodeId>> cross;
-    for (EdgeId e = 0; e < g.num_edges(); ++e) {
-      const auto [u, v] = g.endpoints(e);
-      const int cu = acd.clique_of[u], cv = acd.clique_of[v];
-      if (cu != -1 && cv != -1 && cu != cv) cross.emplace_back(u, v);
-    }
-    const Graph cross_graph(n, std::move(cross));
-    if (cross_graph.max_degree() >= 2) {
-      std::vector<NodeId> path;
-      for (NodeId v = 0; v < n; ++v) {
-        if (res.vote_of[v] != -1) continue;
-        path.assign(1, v);
-        bool found = false;
-        auto dfs = [&](auto&& self, NodeId x) -> void {
+  if (multi) {
+    std::vector<std::pair<NodeId, NodeId>> cross_pairs;
+    cross_pairs.reserve(cross.size());
+    for (const CrossEdge& x : cross) cross_pairs.push_back(g.endpoints(x.edge));
+    const Graph cross_graph(n, std::move(cross_pairs));
+    std::vector<NodeId> path;
+    for (NodeId v = 0; v < n; ++v) {
+      if (res.vote_of[v] != -1) continue;
+      path.assign(1, v);
+      bool found = false;
+      auto dfs = [&](auto&& self, NodeId x) -> void {
+        if (found) return;
+        for (const NodeId y : cross_graph.neighbors(x)) {
           if (found) return;
-          for (const NodeId y : cross_graph.neighbors(x)) {
-            if (found) return;
-            if (y == v && path.size() >= 4 && path.size() % 2 == 0) {
-              Loophole cand{path};
-              if (is_valid_loophole(g, cand)) {
-                acc.add(cand);
-                found = true;
-                return;
-              }
+          if (y == v && path.size() >= 4 && path.size() % 2 == 0) {
+            Loophole cand{path};
+            if (is_valid_loophole(g, cand)) {
+              acc.add(cand);
+              found = true;
+              return;
             }
-            if (y == v || static_cast<int>(path.size()) >= 6) continue;
-            if (std::find(path.begin(), path.end(), y) != path.end())
-              continue;
-            path.push_back(y);
-            self(self, y);
-            path.pop_back();
           }
-        };
-        dfs(dfs, v);
-      }
+          if (y == v || static_cast<int>(path.size()) >= 6) continue;
+          if (std::find(path.begin(), path.end(), y) != path.end())
+            continue;
+          path.push_back(y);
+          self(self, y);
+          path.pop_back();
+        }
+      };
+      dfs(dfs, v);
     }
   }
 

@@ -65,6 +65,14 @@ std::optional<Loophole> find_loophole_through(const Graph& g, NodeId v,
 /// Structure-aware detector for dense graphs with a computed ACD.
 /// O(1) LOCAL rounds (every case looks at a bounded-radius neighborhood);
 /// charged to `ledger`.
+///
+/// Order contract (pinned by Loopholes.DenseDetectorPinnedOnSeededInstances):
+/// the witnesses, their order and vote_of depend only on g and acd. Cases
+/// (a)-(f) run in turn, vertices and ACs ascending within a case. Cases
+/// (d) and (e) visit AC pairs (lo, hi) in key order, AC triangles
+/// c1 < c2 < c3 lexicographically, and see the first two cross edges of a
+/// pair by edge id. A witness whose vertex set was already found is not
+/// added again, and each vertex votes for the first witness containing it.
 LoopholeSet find_loopholes_dense(const Graph& g, const Acd& acd,
                                  RoundLedger& ledger,
                                  const std::string& phase = "loopholes");

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "acd/acd.hpp"
+#include "core/hardness.hpp"
 #include "core/loopholes.hpp"
 #include "graph/checker.hpp"
 #include "graph/generators.hpp"
@@ -284,6 +285,136 @@ TEST(Loopholes, CliqueRingIsEasyEverywhere) {
   for (NodeId v = 0; v < inst.graph.num_nodes(); ++v)
     if (set.vertex_in_loophole(v)) ++flagged;
   EXPECT_GE(flagged, 8 * (6 - 2));
+}
+
+// Order-sensitive FNV-1a hash of a loophole set: every witness's vertex
+// list in detection order, then vote_of.
+std::uint64_t loophole_hash(const LoopholeSet& set) {
+  std::uint64_t h = 1469598103934665603ULL;
+  const auto mix = [&h](std::uint64_t x) { h = (h ^ x) * 1099511628211ULL; };
+  for (const Loophole& l : set.loopholes) {
+    mix(l.vertices.size());
+    for (const NodeId v : l.vertices) mix(v);
+  }
+  for (const int idx : set.vote_of) mix(static_cast<std::uint64_t>(idx + 1));
+  return h;
+}
+
+// Fourteen K9s (Delta = 10) whose cross edges give single vertices two
+// cross edges, so that every case of the dense detector fires: AC pairs
+// linked by two and by three cross edges (d), an AC triangle (e), a 4-cycle
+// of cross edges through four ACs (f), an outsider with two neighbors in
+// one AC (c) and a K9 with one edge removed (b). Vertices with fewer than
+// two cross edges have degree < Delta (a).
+Graph cross_linked_cliques() {
+  constexpr int kSize = 9;
+  const auto v = [](int clique, int i) {
+    return static_cast<NodeId>(clique * kSize + i);
+  };
+  std::vector<std::pair<NodeId, NodeId>> edges;
+  for (int c = 0; c < 14; ++c)
+    for (int i = 0; i < kSize; ++i)
+      for (int j = i + 1; j < kSize; ++j)
+        if (c != 13 || i != 0 || j != 1) edges.emplace_back(v(c, i), v(c, j));
+  const int cross[][4] = {
+      {0, 0, 1, 0}, {0, 1, 1, 1},                 // (d), two edges
+      {2, 0, 3, 0}, {2, 1, 3, 1}, {2, 2, 3, 2},   // (d), three edges
+      {4, 0, 5, 0}, {5, 1, 6, 0}, {6, 1, 4, 1},   // (e)
+      {7, 0, 8, 0}, {8, 0, 9, 0}, {9, 0, 10, 0}, {10, 0, 7, 0},  // (f)
+      {11, 0, 12, 0}, {11, 0, 12, 1},             // (c)
+  };
+  for (const auto& e : cross) edges.emplace_back(v(e[0], e[1]), v(e[2], e[3]));
+  return Graph(14 * kSize, std::move(edges));
+}
+
+// Pins find_loopholes_dense's output (witnesses, their order and vote_of)
+// on seeded instances; the hashes were recorded before the detector's
+// bookkeeping moved from ordered maps to flat arrays, so a rewrite must keep
+// the order contract of loopholes.hpp exactly.
+TEST(Loopholes, DenseDetectorPinnedOnSeededInstances) {
+  struct Case {
+    const char* name;
+    Graph graph;
+    AcdParams params;
+    std::size_t loopholes;
+    std::uint64_t hash;
+  };
+  AcdParams eps04;
+  eps04.epsilon = 0.4;
+  const Case cases[] = {
+      {"hard-blowup", blowup(32, 16, 16, 0.0, 5).graph, params_for(16), 0,
+       2413988172825303939ULL},
+      {"blowup-25%-easy", blowup(32, 16, 16, 0.25, 5).graph, params_for(16),
+       24, 4752808649405997600ULL},
+      {"perturbed-blowup-9", perturbed_blowup(9), eps04, 555,
+       11389214465147755951ULL},
+      {"perturbed-blowup-13", perturbed_blowup(13), eps04, 588,
+       2212219168930945048ULL},
+      {"clique-ring", clique_ring(8, 6).graph, params_for(6), 32,
+       5595561768249116099ULL},
+      {"cross-linked-cliques", cross_linked_cliques(), eps04, 127,
+       2528567834969248549ULL},
+  };
+  for (const Case& c : cases) {
+    RoundLedger ledger;
+    const Acd acd = compute_acd(c.graph, ledger, c.params);
+    const LoopholeSet set = find_loopholes_dense(c.graph, acd, ledger);
+    EXPECT_EQ(set.loopholes.size(), c.loopholes) << c.name;
+    EXPECT_EQ(loophole_hash(set), c.hash) << c.name;
+  }
+}
+
+// --- Lemma 9 runtime checks -----------------------------------------------
+
+// The DC_CHECK message classify_hardness throws when every AC of `acd` is
+// declared hard (no loopholes), or "" if it returns.
+std::string lemma9_failure(const Graph& g,
+                           std::vector<std::vector<NodeId>> cliques) {
+  Acd acd;
+  acd.clique_of.assign(g.num_nodes(), -1);
+  for (std::size_t c = 0; c < cliques.size(); ++c)
+    for (const NodeId v : cliques[c]) acd.clique_of[v] = static_cast<int>(c);
+  acd.cliques = std::move(cliques);
+  LoopholeSet none;
+  none.vote_of.assign(g.num_nodes(), -1);
+  try {
+    classify_hardness(g, acd, none);
+  } catch (const std::logic_error& e) {
+    return e.what();
+  }
+  return "";
+}
+
+bool contains(const std::string& s, const std::string& part) {
+  return s.find(part) != std::string::npos;
+}
+
+TEST(Hardness, Lemma9RejectsNonCliqueHardAc) {
+  // {0, 1, 2, 3} lacks edge 0-1; 0 and 1 make up degree Delta = 3 outside.
+  const Graph g(6, {{0, 2}, {0, 3}, {1, 2}, {1, 3}, {2, 3}, {0, 4}, {1, 5}});
+  const std::string msg = lemma9_failure(g, {{0, 1, 2, 3}});
+  EXPECT_TRUE(contains(msg, "hard AC 0 is not a clique at member 0")) << msg;
+}
+
+TEST(Hardness, Lemma9RejectsHardMemberBelowDelta) {
+  // A K4 beside a star of degree Delta = 4.
+  const Graph g(9, {{0, 1}, {0, 2}, {0, 3}, {1, 2}, {1, 3}, {2, 3},
+                    {4, 5}, {4, 6}, {4, 7}, {4, 8}});
+  const std::string msg = lemma9_failure(g, {{0, 1, 2, 3}});
+  EXPECT_TRUE(contains(msg, "hard clique member 0 has degree 3 != 4")) << msg;
+}
+
+TEST(Hardness, Lemma9RejectsOutsiderWithTwoNeighborsInside) {
+  // Outsider 4 sees 0 and 1 of the K4; every member has degree Delta = 4.
+  const Graph g(7, {{0, 1}, {0, 2}, {0, 3}, {1, 2}, {1, 3}, {2, 3},
+                    {4, 0}, {4, 1}, {2, 5}, {3, 6}});
+  const std::string msg = lemma9_failure(g, {{0, 1, 2, 3}});
+  EXPECT_TRUE(contains(msg, "outsider 4 has two neighbors in hard clique 0"))
+      << msg;
+  // The same K4 with the outsider's second edge rerouted passes.
+  const Graph ok(8, {{0, 1}, {0, 2}, {0, 3}, {1, 2}, {1, 3}, {2, 3},
+                     {4, 0}, {7, 1}, {2, 5}, {3, 6}});
+  EXPECT_EQ(lemma9_failure(ok, {{0, 1, 2, 3}}), "");
 }
 
 }  // namespace
