@@ -47,7 +47,8 @@ void run_tables() {
           const auto g = cached_regular(n, 3, 7 + n, &ctx.ledger());
           const Hypergraph h = edges_as_hypergraph(*g);
           RoundLedger ledger;
-          const HegResult res = solve_heg(h, ledger);
+          LocalContext lctx(ledger);
+          const HegResult res = solve_heg(h, lctx);
           Row row;
           row.rounds = res.rounds;
           row.ok = res.complete && is_valid_heg(h, res);
@@ -85,7 +86,8 @@ void run_tables() {
           }
           h.build_incidence();
           RoundLedger ledger;
-          const HegResult res = solve_heg(h, ledger);
+          LocalContext lctx(ledger);
+          const HegResult res = solve_heg(h, lctx);
           Row row;
           row.vertices = static_cast<int>(inst->cliques.size());
           row.min_degree = h.min_degree();
@@ -109,7 +111,8 @@ void BM_SinklessOrientation(benchmark::State& state) {
   const Hypergraph h = edges_as_hypergraph(*g);
   for (auto _ : state) {
     RoundLedger ledger;
-    benchmark::DoNotOptimize(solve_heg(h, ledger).grabbed_edge.data());
+    LocalContext ctx(ledger);
+    benchmark::DoNotOptimize(solve_heg(h, ctx).grabbed_edge.data());
   }
 }
 BENCHMARK(BM_SinklessOrientation)->Arg(1024)->Arg(8192)

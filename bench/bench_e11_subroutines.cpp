@@ -153,7 +153,8 @@ void BM_Linial(benchmark::State& state) {
   const auto inst = cached_hard(256, 16, 3);
   for (auto _ : state) {
     RoundLedger l;
-    benchmark::DoNotOptimize(linial_coloring(inst->graph, l).color.data());
+    LocalContext l_ctx(l);
+    benchmark::DoNotOptimize(linial_coloring(inst->graph, l_ctx).color.data());
   }
 }
 BENCHMARK(BM_Linial)->Unit(benchmark::kMillisecond);
@@ -162,8 +163,9 @@ void BM_MaximalMatching(benchmark::State& state) {
   const auto inst = cached_hard(256, 16, 3);
   for (auto _ : state) {
     RoundLedger l;
+    LocalContext l_ctx(l);
     benchmark::DoNotOptimize(
-        maximal_matching_deterministic(inst->graph, l).size());
+        maximal_matching_deterministic(inst->graph, l_ctx).size());
   }
 }
 BENCHMARK(BM_MaximalMatching)->Unit(benchmark::kMillisecond);

@@ -43,7 +43,8 @@ void run_tables() {
         const auto g =
             cached_regular(2048, c.degree, 7 + c.degree, &ctx.ledger());
         RoundLedger ledger;
-        const auto split = degree_split(*g, c.levels, c.segment, 3, ledger);
+        LocalContext lctx(ledger);
+        const auto split = degree_split(*g, c.levels, c.segment, 3, lctx);
         Row row;
         row.rounds = split.rounds;
         for (int p = 0; p < split.num_parts; ++p) {
@@ -76,7 +77,8 @@ void BM_DegreeSplit(benchmark::State& state) {
   const auto g = cached_regular(4096, 32, 11);
   for (auto _ : state) {
     RoundLedger ledger;
-    const auto split = degree_split(*g, 2, 100, 5, ledger);
+    LocalContext ctx(ledger);
+    const auto split = degree_split(*g, 2, 100, 5, ctx);
     benchmark::DoNotOptimize(split.part.data());
   }
 }

@@ -30,27 +30,32 @@ Row measure(int cliques, int delta, std::uint64_t seed) {
   row.n = g.num_nodes();
   {
     RoundLedger l;
-    linial_coloring(g, l);
+    LocalContext l_ctx(l);
+    linial_coloring(g, l_ctx);
     row.linial = l.total();
   }
   {
     RoundLedger l;
-    mis_deterministic(g, l);
+    LocalContext l_ctx(l);
+    mis_deterministic(g, l_ctx);
     row.mis = l.total();
   }
   {
     RoundLedger l;
-    maximal_matching_deterministic(g, l);
+    LocalContext l_ctx(l);
+    maximal_matching_deterministic(g, l_ctx);
     row.matching = l.total();
   }
   {
     RoundLedger l;
-    ruling_set(g, l);
+    LocalContext l_ctx(l);
+    ruling_set(g, l_ctx);
     row.ruling = l.total();
   }
   {
     RoundLedger l;
-    degree_split(g, 2, 64, seed, l);
+    LocalContext l_ctx(l);
+    degree_split(g, 2, 64, seed, l_ctx);
     row.split = l.total();
   }
   {

@@ -11,27 +11,17 @@
 #pragma once
 
 #include <optional>
-#include <string>
 #include <vector>
 
 #include "core/loopholes.hpp"
 #include "graph/graph.hpp"
 #include "local/context.hpp"
-#include "local/ledger.hpp"
 
 namespace deltacolor {
 
 /// (Delta+1)-coloring by one deg+1-list instance over the full palette
 /// {0..Delta}. Always succeeds. Default phase "greedy".
 std::vector<Color> greedy_delta_plus_one(const Graph& g, LocalContext& ctx);
-
-/// RoundLedger-based compatibility wrapper (pre-LocalContext API).
-inline std::vector<Color> greedy_delta_plus_one(
-    const Graph& g, RoundLedger& ledger, const std::string& phase = "greedy") {
-  LocalContext ctx(ledger);
-  ScopedPhase scope(ctx, phase);
-  return greedy_delta_plus_one(g, ctx);
-}
 
 struct LayeredBaselineResult {
   std::vector<Color> color;
@@ -46,6 +36,6 @@ struct LayeredBaselineResult {
 /// loophole-free hard instances.
 LayeredBaselineResult layered_loophole_coloring(const Graph& g,
                                                 const LoopholeSet& loopholes,
-                                                RoundLedger& ledger);
+                                                LocalContext& ctx);
 
 }  // namespace deltacolor

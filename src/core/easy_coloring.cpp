@@ -163,7 +163,6 @@ EasyColoringStats color_easy_and_loopholes(const Graph& g,
                                            std::vector<Color>& color,
                                            LocalContext& lctx,
                                            const std::string& phase) {
-  RoundLedger& ledger = lctx.ledger();
   EasyColoringStats stats;
   const int delta = g.max_degree();
   const NodeId n = g.num_nodes();
@@ -230,10 +229,10 @@ EasyColoringStats color_easy_and_loopholes(const Graph& g,
   // Ruling set on G_L: the selected loopholes are pairwise non-adjacent
   // and non-intersecting. One G_L round costs <= 7 real rounds (loophole
   // diameter <= 3, plus the connecting edge).
-  RoundLedger gl_ledger;
-  LocalContext gl_ctx(gl_ledger, lctx.engine(), lctx.seed());
-  const RulingSetResult rs = ruling_set(gl, gl_ctx);
-  ledger.charge(phase + "-ruling", gl_ledger.total(), 7);
+  const RulingSetResult rs = [&] {
+    ScopedPhase ruling_phase(lctx, phase + "-ruling", 7);
+    return ruling_set(gl, lctx);
+  }();
   stats.ruling_domination_radius = rs.domination_radius;
 
   NodeMask in_chosen_loophole(n, 0);
@@ -269,7 +268,10 @@ EasyColoringStats color_easy_and_loopholes(const Graph& g,
                  "uncolored vertex " << v
                                      << " unreachable from any loophole");
   stats.layers = max_layer;
-  ledger.charge(phase + "-bfs", max_layer + 1);
+  {
+    ScopedPhase bfs_phase(lctx, phase + "-bfs");
+    lctx.charge(max_layer + 1);
+  }
 
   // Color layers outside-in; each layer-i vertex has an uncolored
   // layer-(i-1) neighbor, so each layer is a deg+1-list instance.
@@ -286,7 +288,8 @@ EasyColoringStats color_easy_and_loopholes(const Graph& g,
   // pairwise non-adjacent, so all complete in parallel in O(1) rounds.
   for (std::size_t k = 0; k < live.size(); ++k)
     if (rs.in_set[k]) color_loophole(g, loopholes.loopholes[live[k]], color);
-  ledger.charge(phase + "-loopholes", 3);
+  ScopedPhase loophole_phase(lctx, phase + "-loopholes");
+  lctx.charge(3);
   return stats;
 }
 

@@ -41,7 +41,6 @@ HardColoringOutcome color_hard_cliques(const Graph& g, const Acd& acd,
                                        std::vector<Color>& color,
                                        const HardColoringParams& params,
                                        LocalContext& lctx) {
-  RoundLedger& ledger = lctx.ledger();
   HardColoringOutcome out;
   HardColoringStats& st = out.stats;
   st.num_hard = hardness.num_hard;
@@ -340,15 +339,12 @@ HardColoringOutcome color_hard_cliques(const Graph& g, const Acd& acd,
       gq_edges[k] = {2 * tc, 2 * hc + 1};
     }
     if (!gq_edges.empty()) {
-      RoundLedger split_ledger;
-      LocalContext split_ctx(split_ledger, lctx.engine(), params.seed);
-      const auto split = degree_split_edges(
-          2 * static_cast<int>(ctx.hard_acs.size()), gq_edges,
-          ctx.levels_eff, params.split_segment_length, params.seed,
-          split_ctx);
       // One virtual G_Q round costs <= 3 real rounds (clique diameter 1 +
       // crossing edge).
-      ledger.charge("phase2-split", split_ledger.total(), 3);
+      ScopedPhase phase(lctx, "phase2-split", 3);
+      const auto split = degree_split_edges(
+          2 * static_cast<int>(ctx.hard_acs.size()), gq_edges,
+          ctx.levels_eff, params.split_segment_length, params.seed, lctx);
       for (std::size_t k = 0; k < f2.size(); ++k)
         chosen[k] = split.part[k] == 0 ? 1 : 0;
     }
@@ -432,7 +428,10 @@ HardColoringOutcome color_hard_cliques(const Graph& g, const Acd& acd,
     triads.push_back(t);
   }
   st.num_triads = static_cast<int>(triads.size());
-  ledger.charge("phase3-triads", 2);
+  {
+    ScopedPhase phase(lctx, "phase3-triads");
+    lctx.charge(2);
+  }
   {
     std::vector<int> pairs_per_clique(ctx.hard_acs.size(), 0);
     for (const Triad& t : triads) {
@@ -541,13 +540,15 @@ HardColoringOutcome color_hard_cliques(const Graph& g, const Acd& acd,
     }
     std::vector<Color> gv_color(live.size(), kNoColor);
     NodeMask active(live.size(), 1);
-    RoundLedger gv_ledger;
-    if (!live.empty()) {
-      LocalContext gv_ctx(gv_ledger, lctx.engine(), params.seed);
-      ScopedPhase phase(gv_ctx, "phase4a-pairs");
-      deg_plus_one_list_color(gv, active, lists, gv_color, gv_ctx);
+    {
+      // One virtual G_V round costs <= 3 real rounds; the phase is
+      // reported even when no pair survives.
+      ScopedPhase phase(lctx, "phase4a-pairs", 3);
+      if (live.empty())
+        lctx.charge(0);
+      else
+        deg_plus_one_list_color(gv, active, lists, gv_color, lctx);
     }
-    ledger.charge("phase4a-pairs", gv_ledger.total(), 3);  // dilation 3
     for (std::size_t i = 0; i < live.size(); ++i) {
       const std::size_t t = live[i];
       color[triads[t].pair_in] = gv_color[i];

@@ -28,7 +28,6 @@
 #pragma once
 
 #include <cstdint>
-#include <string>
 #include <vector>
 
 #include "acd/acd.hpp"
@@ -38,7 +37,6 @@
 #include "core/trace.hpp"
 #include "graph/graph.hpp"
 #include "local/context.hpp"
-#include "local/ledger.hpp"
 
 namespace deltacolor {
 
@@ -118,14 +116,5 @@ HardColoringOutcome color_hard_cliques(const Graph& g, const Acd& acd,
                                        std::vector<Color>& color,
                                        const HardColoringParams& params,
                                        LocalContext& lctx);
-
-/// RoundLedger-based compatibility wrapper (pre-LocalContext API).
-inline HardColoringOutcome color_hard_cliques(
-    const Graph& g, const Acd& acd, const Hardness& hardness,
-    std::vector<Color>& color, const HardColoringParams& params,
-    RoundLedger& ledger) {
-  LocalContext lctx(ledger, {}, params.seed);
-  return color_hard_cliques(g, acd, hardness, color, params, lctx);
-}
 
 }  // namespace deltacolor

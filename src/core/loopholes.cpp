@@ -44,25 +44,37 @@ std::optional<Loophole> find_loophole_through(const Graph& g, NodeId v,
   DC_CHECK(max_vertices <= 8);
   if (g.degree(v) < g.max_degree()) return Loophole{{v}};
   // DFS over simple paths from v; a neighbor closing back to v forms a
-  // cycle, accepted if even, length >= 4, and non-clique.
+  // cycle, accepted if even, length >= 4, and non-clique. The path is a
+  // simple cycle over existing edges by construction, so only a missing
+  // chord is left to test.
   std::vector<NodeId> path{v};
+  NodeMask on_path(g.num_nodes(), 0);
+  on_path[v] = 1;
+  const auto has_missing_chord = [&] {
+    for (std::size_t i = 0; i < path.size(); ++i)
+      for (std::size_t j = i + 2; j < path.size(); ++j)
+        if (!g.has_edge(path[i], path[j])) return true;
+    return false;
+  };
   std::optional<Loophole> found;
   auto dfs = [&](auto&& self, NodeId x) -> void {
     if (found) return;
     for (const NodeId y : g.neighbors(x)) {
       if (found) return;
-      if (y == v && path.size() >= 4 && path.size() % 2 == 0) {
-        Loophole cand{path};
-        if (is_valid_loophole(g, cand)) {
-          found = std::move(cand);
+      if (y == v) {
+        if (path.size() >= 4 && path.size() % 2 == 0 && has_missing_chord()) {
+          found = Loophole{path};
+          DC_CHECK(is_valid_loophole(g, *found));
           return;
         }
+        continue;
       }
-      if (y == v) continue;
       if (static_cast<int>(path.size()) >= max_vertices) continue;
-      if (std::find(path.begin(), path.end(), y) != path.end()) continue;
+      if (on_path[y]) continue;
       path.push_back(y);
+      on_path[y] = 1;
       self(self, y);
+      on_path[y] = 0;
       path.pop_back();
     }
   };

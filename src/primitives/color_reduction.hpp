@@ -25,7 +25,6 @@
 
 #include <atomic>
 #include <cstdint>
-#include <string>
 #include <vector>
 
 #include "common/check.hpp"
@@ -128,24 +127,6 @@ LinialResult schedule_coloring(const ViewT& view, LocalContext& ctx) {
                                view.max_degree() + 1, ctx);
   res.rounds += lin.rounds;
   return res;
-}
-
-// ---- RoundLedger-based compatibility wrappers (pre-LocalContext API) ----
-
-inline LinialResult kw_reduce_graph(const Graph& g, std::vector<Color> color,
-                                    int num_colors, int target,
-                                    RoundLedger& ledger,
-                                    const std::string& phase = "kw-reduce") {
-  LocalContext ctx(ledger);
-  ScopedPhase scope(ctx, phase);
-  return kw_reduce(g, std::move(color), num_colors, target, ctx);
-}
-
-inline LinialResult schedule_coloring(const Graph& g, RoundLedger& ledger,
-                                      const std::string& phase = "schedule") {
-  LocalContext ctx(ledger);
-  ScopedPhase scope(ctx, phase);
-  return schedule_coloring(g, ctx);
 }
 
 }  // namespace deltacolor

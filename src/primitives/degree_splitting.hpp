@@ -22,13 +22,11 @@
 #pragma once
 
 #include <cstdint>
-#include <string>
 #include <utility>
 #include <vector>
 
 #include "graph/graph.hpp"
 #include "local/context.hpp"
-#include "local/ledger.hpp"
 
 namespace deltacolor {
 
@@ -52,28 +50,6 @@ DegreeSplitResult degree_split_edges(
 /// Graph overload: part indices are by EdgeId.
 DegreeSplitResult degree_split(const Graph& g, int levels, int segment_length,
                                std::uint64_t seed, LocalContext& ctx);
-
-// ---- RoundLedger-based compatibility wrappers (pre-LocalContext API) ----
-
-inline DegreeSplitResult degree_split_edges(
-    int num_nodes, const std::vector<std::pair<int, int>>& edges, int levels,
-    int segment_length, std::uint64_t seed, RoundLedger& ledger,
-    const std::string& phase = "degree-split") {
-  LocalContext ctx(ledger, {}, seed);
-  ScopedPhase scope(ctx, phase);
-  return degree_split_edges(num_nodes, edges, levels, segment_length, seed,
-                            ctx);
-}
-
-inline DegreeSplitResult degree_split(const Graph& g, int levels,
-                                      int segment_length, std::uint64_t seed,
-                                      RoundLedger& ledger,
-                                      const std::string& phase =
-                                          "degree-split") {
-  LocalContext ctx(ledger, {}, seed);
-  ScopedPhase scope(ctx, phase);
-  return degree_split(g, levels, segment_length, seed, ctx);
-}
 
 /// Per-node edge count inside one part (verification helper).
 std::vector<int> part_degrees(const Graph& g, const DegreeSplitResult& split,

@@ -14,11 +14,9 @@
 // centralized Hopcroft-Karp matcher provides ground truth in tests.
 #pragma once
 
-#include <string>
 #include <vector>
 
 #include "local/context.hpp"
-#include "local/ledger.hpp"
 #include "primitives/hypergraph.hpp"
 
 namespace deltacolor {
@@ -39,14 +37,6 @@ struct HegResult {
 /// it is *not* stepped through the engine; only round accounting and the
 /// execution context flow through LocalContext. Default phase "heg".
 HegResult solve_heg(const Hypergraph& h, LocalContext& ctx);
-
-/// RoundLedger-based compatibility wrapper (pre-LocalContext API).
-inline HegResult solve_heg(const Hypergraph& h, RoundLedger& ledger,
-                           const std::string& phase = "heg") {
-  LocalContext ctx(ledger);
-  ScopedPhase scope(ctx, phase);
-  return solve_heg(h, ctx);
-}
 
 /// Centralized Hopcroft-Karp saturating matcher (ground truth for tests).
 HegResult solve_heg_centralized(const Hypergraph& h);

@@ -44,11 +44,9 @@ LinialResult linial_edge_coloring(const Graph& g, LocalContext& ctx) {
     return empty;
   }
 
-  // Vertex coloring first (palette chi = O(Delta^2)); its rounds are
-  // accounted separately below, so it runs against a throwaway ledger.
-  RoundLedger vertex_ledger;
-  LocalContext vertex_ctx(vertex_ledger, ctx.engine(), ctx.seed());
-  const LinialResult vertex = linial_coloring(g, vertex_ctx);
+  // Vertex coloring first (palette chi = O(Delta^2)); its rounds are real
+  // rounds, charged to the active phase.
+  const LinialResult vertex = linial_coloring(g, ctx);
 
   // Compose a proper initial edge coloring: for edge (u, v) combine
   // (c_u, port_u(v)) and (c_v, port_v(u)) as an unordered pair, where
@@ -87,7 +85,6 @@ LinialResult linial_edge_coloring(const Graph& g, LocalContext& ctx) {
   LinialResult res = linial_reduce(line, initial, ctx);
   const int line_rounds = res.rounds;
   res.rounds = vertex.rounds + 2 * line_rounds;
-  ctx.charge(vertex.rounds);  // the vertex coloring's rounds are real rounds
   return res;
 }
 

@@ -19,7 +19,6 @@
 #include <algorithm>
 #include <atomic>
 #include <cstdint>
-#include <string>
 #include <utility>
 #include <vector>
 
@@ -206,22 +205,5 @@ LinialResult linial_coloring(const ViewT& view, LocalContext& ctx) {
 /// generic reduction then shrinks. Costs O(log* n) rounds; each line-graph
 /// round dilates to 2 real rounds (charged via the view's dilation).
 LinialResult linial_edge_coloring(const Graph& g, LocalContext& ctx);
-
-// ---- RoundLedger-based compatibility wrappers (pre-LocalContext API) ----
-
-inline LinialResult linial_coloring(const Graph& g, RoundLedger& ledger,
-                                    const std::string& phase = "linial") {
-  LocalContext ctx(ledger);
-  ScopedPhase scope(ctx, phase);
-  return linial_coloring(g, ctx);
-}
-
-inline LinialResult linial_edge_coloring(
-    const Graph& g, RoundLedger& ledger,
-    const std::string& phase = "linial-edge") {
-  LocalContext ctx(ledger);
-  ScopedPhase scope(ctx, phase);
-  return linial_edge_coloring(g, ctx);
-}
 
 }  // namespace deltacolor

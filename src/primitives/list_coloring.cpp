@@ -81,9 +81,7 @@ int deg_plus_one_list_color(const Graph& g, const NodeMask& active,
   // Nodes of the same class are non-adjacent, so their simultaneous
   // choices cannot conflict.
   const InducedSubgraphView sub(g, active_nodes);
-  RoundLedger sub_ledger;  // schedule rounds are re-charged below
-  LocalContext sub_ctx(sub_ledger, ctx.engine(), ctx.seed());
-  const LinialResult lin = schedule_coloring(sub, sub_ctx);
+  const LinialResult lin = schedule_coloring(sub, ctx);
 
   // Class sweep on the *host* graph (exclusions come from all neighbors,
   // active or not): engine round t steps only the active nodes of schedule
@@ -115,11 +113,8 @@ int deg_plus_one_list_color(const Graph& g, const NodeMask& active,
                "class-greedy ran out of colors");
   color = runner.take_states();
 
-  const int rounds = lin.rounds + lin.num_colors;
-  // The schedule's own rounds went into sub_ledger; charge them to the
-  // caller's phase together with the class sweep.
-  ctx.charge(rounds);
-  return rounds;
+  ctx.charge(lin.num_colors);  // the schedule charged its own rounds
+  return lin.rounds + lin.num_colors;
 }
 
 namespace {

@@ -16,13 +16,11 @@
 // no heap allocation and no sorting.
 #pragma once
 
-#include <string>
 #include <vector>
 
 #include "common/palette.hpp"
 #include "graph/graph.hpp"
 #include "local/context.hpp"
-#include "local/ledger.hpp"
 
 namespace deltacolor {
 
@@ -47,26 +45,5 @@ int deg_plus_one_list_color_randomized(const Graph& g, const NodeMask& active,
 
 /// Builds the default (Delta+1)-coloring lists {0..Delta} for every node.
 ColorLists uniform_lists(const Graph& g, int num_colors);
-
-// ---- RoundLedger-based compatibility wrappers (pre-LocalContext API) ----
-
-inline int deg_plus_one_list_color(const Graph& g, const NodeMask& active,
-                                   const ColorLists& lists,
-                                   std::vector<Color>& color,
-                                   RoundLedger& ledger,
-                                   const std::string& phase = "deg+1-list") {
-  LocalContext ctx(ledger);
-  ScopedPhase scope(ctx, phase);
-  return deg_plus_one_list_color(g, active, lists, color, ctx);
-}
-
-inline int deg_plus_one_list_color_randomized(
-    const Graph& g, const NodeMask& active, const ColorLists& lists,
-    std::vector<Color>& color, std::uint64_t seed, RoundLedger& ledger,
-    const std::string& phase = "deg+1-list-rand") {
-  LocalContext ctx(ledger, {}, seed);
-  ScopedPhase scope(ctx, phase);
-  return deg_plus_one_list_color_randomized(g, active, lists, color, ctx);
-}
 
 }  // namespace deltacolor

@@ -29,19 +29,12 @@ std::vector<bool> maximal_matching_deterministic(const Graph& g,
   // classes, then one virtual round per color class that steps only that
   // class's edges: an edge joins if no adjacent edge (= line-graph
   // neighbor = edge sharing an endpoint) did. Edges of a class share no
-  // endpoint. The coloring rounds are recharged below with their dilation
-  // already folded in, so the nested calls run against a throwaway ledger.
+  // endpoint. The coloring charges its own rounds, line-graph dilation
+  // included.
   const LineGraphView line(g);
-  RoundLedger ec_ledger;
-  LocalContext ec_ctx(ec_ledger, ctx.engine(), ctx.seed());
-  LinialResult ec = linial_edge_coloring(g, ec_ctx);
-  {
-    LinialResult reduced = kw_reduce(line, std::move(ec.color),
-                                     ec.num_colors, line.max_degree() + 1,
-                                     ec_ctx);
-    reduced.rounds = ec.rounds + 2 * reduced.rounds;  // line-graph dilation
-    ec = std::move(reduced);
-  }
+  LinialResult ec = linial_edge_coloring(g, ctx);
+  ec = kw_reduce(line, std::move(ec.color), ec.num_colors,
+                 line.max_degree() + 1, ctx);
 
   std::vector<std::size_t> start;
   std::vector<NodeId> edges;
@@ -59,7 +52,6 @@ std::vector<bool> maximal_matching_deterministic(const Graph& g,
   const auto& states = runner.states();
   for (EdgeId e = 0; e < g.num_edges(); ++e) in_matching[e] = states[e] != 0;
 
-  ctx.charge(ec.rounds);  // edge-coloring rounds (dilation inside)
   ctx.charge(ec.num_colors, kLineGraphDilation);
   return in_matching;
 }
@@ -109,16 +101,14 @@ std::vector<bool> maximal_matching_pr(const Graph& g, LocalContext& ctx) {
   for (NodeId v = 0; v < g.num_nodes(); ++v) ids[v] = g.id(v);
   std::vector<std::vector<Color>> forest_color(
       static_cast<std::size_t>(delta));
-  int coloring_rounds = 0;
+  ParallelBranches forests(ctx);
   for (int f = 0; f < delta; ++f) {
-    RoundLedger forest_ledger;
-    LocalContext forest_ctx(forest_ledger, ctx.engine(), ctx.seed());
-    const ForestColoringResult fc = forest_3_coloring(
-        parent_in[static_cast<std::size_t>(f)], ids, forest_ctx);
-    forest_color[static_cast<std::size_t>(f)] = fc.color;
-    coloring_rounds = std::max(coloring_rounds, fc.rounds);
+    forests.next();
+    forest_color[static_cast<std::size_t>(f)] =
+        forest_3_coloring(parent_in[static_cast<std::size_t>(f)], ids, ctx)
+            .color;
   }
-  ctx.charge(1 + coloring_rounds);  // orientation + parallel CV
+  ctx.charge(1 + forests.close());  // orientation + parallel CV
 
   // Sequential forests, one (forest, class) slot per 3 engine rounds:
   // propose (free class-c nodes point at their free forest parent), accept

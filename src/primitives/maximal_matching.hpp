@@ -8,12 +8,10 @@
 // directly on the lazy LineGraphView.
 #pragma once
 
-#include <string>
 #include <vector>
 
 #include "graph/graph.hpp"
 #include "local/context.hpp"
-#include "local/ledger.hpp"
 
 namespace deltacolor {
 
@@ -36,31 +34,5 @@ std::vector<bool> maximal_matching_pr(const Graph& g, LocalContext& ctx);
 /// "maximal-matching-rand".
 std::vector<bool> maximal_matching_randomized(const Graph& g,
                                               LocalContext& ctx);
-
-// ---- RoundLedger-based compatibility wrappers (pre-LocalContext API) ----
-
-inline std::vector<bool> maximal_matching_deterministic(
-    const Graph& g, RoundLedger& ledger,
-    const std::string& phase = "maximal-matching") {
-  LocalContext ctx(ledger);
-  ScopedPhase scope(ctx, phase);
-  return maximal_matching_deterministic(g, ctx);
-}
-
-inline std::vector<bool> maximal_matching_pr(
-    const Graph& g, RoundLedger& ledger,
-    const std::string& phase = "maximal-matching-pr") {
-  LocalContext ctx(ledger);
-  ScopedPhase scope(ctx, phase);
-  return maximal_matching_pr(g, ctx);
-}
-
-inline std::vector<bool> maximal_matching_randomized(
-    const Graph& g, std::uint64_t seed, RoundLedger& ledger,
-    const std::string& phase = "maximal-matching-rand") {
-  LocalContext ctx(ledger, {}, seed);
-  ScopedPhase scope(ctx, phase);
-  return maximal_matching_randomized(g, ctx);
-}
 
 }  // namespace deltacolor

@@ -8,12 +8,10 @@
 // the sequential reference at any worker count.
 #pragma once
 
-#include <string>
 #include <vector>
 
 #include "graph/graph.hpp"
 #include "local/context.hpp"
-#include "local/ledger.hpp"
 
 namespace deltacolor {
 
@@ -21,23 +19,5 @@ std::vector<bool> mis_deterministic(const Graph& g, LocalContext& ctx);
 
 /// Luby's algorithm; randomness is drawn from ctx.seed().
 std::vector<bool> mis_luby(const Graph& g, LocalContext& ctx);
-
-// ---- RoundLedger-based compatibility wrappers (pre-LocalContext API) ----
-
-inline std::vector<bool> mis_deterministic(const Graph& g,
-                                           RoundLedger& ledger,
-                                           const std::string& phase = "mis") {
-  LocalContext ctx(ledger);
-  ScopedPhase scope(ctx, phase);
-  return mis_deterministic(g, ctx);
-}
-
-inline std::vector<bool> mis_luby(const Graph& g, std::uint64_t seed,
-                                  RoundLedger& ledger,
-                                  const std::string& phase = "mis-luby") {
-  LocalContext ctx(ledger, {}, seed);
-  ScopedPhase scope(ctx, phase);
-  return mis_luby(g, ctx);
-}
 
 }  // namespace deltacolor

@@ -15,13 +15,11 @@
 #pragma once
 
 #include <cstdint>
-#include <string>
 #include <vector>
 
 #include "graph/graph.hpp"
 #include "graph/graph_view.hpp"
 #include "local/context.hpp"
-#include "local/ledger.hpp"
 #include "local/sync_runner.hpp"
 #include "primitives/linial.hpp"
 
@@ -80,14 +78,5 @@ RulingSetResult ruling_set(const ViewT& view, LocalContext& ctx) {
 /// > r, and every node is within domination_radius host hops of a member.
 RulingSetResult ruling_set_power(const Graph& g, int radius,
                                  LocalContext& ctx);
-
-// ---- RoundLedger-based compatibility wrapper (pre-LocalContext API) ----
-
-inline RulingSetResult ruling_set(const Graph& g, RoundLedger& ledger,
-                                  const std::string& phase = "ruling-set") {
-  LocalContext ctx(ledger);
-  ScopedPhase scope(ctx, phase);
-  return ruling_set(g, ctx);
-}
 
 }  // namespace deltacolor

@@ -114,6 +114,7 @@ RandomizedResult randomized_delta_color(const Graph& g,
   NodeMask near_pair(g.num_nodes(), 0);
   {
     ScopedPhaseTimer timer(res.ledger, "rand-preshattering");
+    ScopedPhase phase(lctx, "rand-preshattering");
     std::vector<std::pair<std::uint64_t, int>> order;
     std::vector<NodeId> ext, inner;
     std::vector<std::pair<NodeId, int>> frontier;
@@ -165,7 +166,7 @@ RandomizedResult randomized_delta_color(const Graph& g,
           break;
         }
       }
-      res.ledger.charge("rand-preshattering", 2 * options.spacing + 3);
+      lctx.charge(2 * options.spacing + 3);
     }
   }
   validate_partial_coloring(g, res.color, "rand-preshattering",
@@ -183,6 +184,7 @@ RandomizedResult randomized_delta_color(const Graph& g,
   std::vector<int> layer(g.num_nodes(), -1);
   {
     ScopedPhaseTimer timer(res.ledger, "rand-layering");
+    ScopedPhase phase(lctx, "rand-layering");
     std::queue<NodeId> q;
     for (const int c : hard_acs) {
       if (!placed[static_cast<std::size_t>(c)]) continue;
@@ -202,7 +204,7 @@ RandomizedResult randomized_delta_color(const Graph& g,
         q.push(y);
       }
     }
-    res.ledger.charge("rand-layering", options.layer_depth + 1);
+    lctx.charge(options.layer_depth + 1);
   }
 
   // ----------------------------------------------------- Post-shattering
@@ -211,6 +213,7 @@ RandomizedResult randomized_delta_color(const Graph& g,
   // independent, so the (parallel) round cost is the maximum.
   {
     ScopedPhaseTimer timer(res.ledger, "rand-postshattering");
+    ScopedPhase phase(lctx, "rand-postshattering");
     std::vector<int> comp_of(g.num_nodes(), -1);
     int num_comp = 0;
     std::vector<std::vector<NodeId>> comp_nodes_list;
@@ -238,9 +241,9 @@ RandomizedResult randomized_delta_color(const Graph& g,
     }
     res.stats.components = num_comp;
 
-    std::int64_t max_comp_rounds = 0;
+    ParallelBranches components(lctx);
     for (int k = 0; k < num_comp; ++k) {
-      RoundLedger comp_ledger;
+      components.next();
       const std::vector<NodeId>& nodes =
           comp_nodes_list[static_cast<std::size_t>(k)];
       // Deliberate materialization (not a lazy view): each shattered
@@ -322,9 +325,8 @@ RandomizedResult randomized_delta_color(const Graph& g,
       hp.allow_useless = true;
       hp.node_lists = lists;
       hp.seed = hash_mix(options.seed, 77, k);
-      LocalContext comp_ctx(comp_ledger, options.engine, hp.seed);
       const HardColoringOutcome outcome = color_hard_cliques(
-          sub.graph, acd_c, hard_c, comp_color, hp, comp_ctx);
+          sub.graph, acd_c, hard_c, comp_color, hp, lctx);
       DC_CHECK_MSG(outcome.demotions.empty(),
                    "unexpected demotion inside a shattered component");
 
@@ -358,19 +360,19 @@ RandomizedResult randomized_delta_color(const Graph& g,
           NodeMask active(nn, 0);
           for (NodeId i = 0; i < nn; ++i)
             active[i] = layer[i] == l && comp_color[i] == kNoColor;
-          ScopedPhase phase(comp_ctx, "rand-component-layers");
+          ScopedPhase layer_phase(lctx, "rand-component-layers");
           deg_plus_one_list_color(sub.graph, active, lists, comp_color,
-                                  comp_ctx);
+                                  lctx);
         }
       }
       for (NodeId i = 0; i < nn; ++i) {
         DC_CHECK(comp_color[i] != kNoColor);
         res.color[sub.orig_of[i]] = comp_color[i];
       }
-      max_comp_rounds = std::max(max_comp_rounds, comp_ledger.total());
     }
+    const std::int64_t max_comp_rounds = components.close();
     res.stats.max_component_rounds = static_cast<int>(max_comp_rounds);
-    res.ledger.charge("rand-postshattering", max_comp_rounds);
+    lctx.charge(max_comp_rounds);
     validate_partial_coloring(g, res.color, "rand-postshattering",
                               options.validate);
   }

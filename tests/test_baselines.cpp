@@ -130,7 +130,8 @@ TEST(GreedyPlusOne, ColorsEverythingWithOneExtraColor) {
   opt.seed = 9;
   const CliqueInstance inst = clique_blowup_instance(opt);
   RoundLedger ledger;
-  const auto color = greedy_delta_plus_one(inst.graph, ledger);
+  LocalContext ctx(ledger);
+  const auto color = greedy_delta_plus_one(inst.graph, ctx);
   EXPECT_TRUE(is_proper_coloring(inst.graph, color,
                                  inst.graph.max_degree() + 1));
   EXPECT_GT(ledger.total(), 0);
@@ -139,7 +140,8 @@ TEST(GreedyPlusOne, ColorsEverythingWithOneExtraColor) {
 TEST(GreedyPlusOne, CompleteGraphNeedsTheExtraColor) {
   Graph g = complete_graph(6);  // Delta = 5, chi = 6
   RoundLedger ledger;
-  const auto color = greedy_delta_plus_one(g, ledger);
+  LocalContext ctx(ledger);
+  const auto color = greedy_delta_plus_one(g, ctx);
   EXPECT_TRUE(is_proper_coloring(g, color, 6));
 }
 
@@ -147,13 +149,14 @@ TEST(GreedyPlusOne, CompleteGraphNeedsTheExtraColor) {
 
 TEST(LayeredBaseline, SucceedsOnEasyInstancesFailsOnHard) {
   RoundLedger ledger;
+  LocalContext ctx(ledger);
   // Easy ring: loopholes everywhere, layering succeeds.
   const CliqueInstance ring = clique_ring(12, 8, 5);
   {
     RoundLedger l2;
     const Acd acd = compute_acd(ring.graph, l2, AcdParams{0.4, -1, 20});
     const auto lps = find_loopholes_dense(ring.graph, acd, l2);
-    const auto res = layered_loophole_coloring(ring.graph, lps, ledger);
+    const auto res = layered_loophole_coloring(ring.graph, lps, ctx);
     EXPECT_TRUE(res.success);
     EXPECT_TRUE(is_delta_coloring(ring.graph, res.color));
   }
@@ -170,7 +173,7 @@ TEST(LayeredBaseline, SucceedsOnEasyInstancesFailsOnHard) {
     p.epsilon = std::max(kAcdEpsilon, 2.5 / 12);
     const Acd acd = compute_acd(inst.graph, l2, p);
     const auto lps = find_loopholes_dense(inst.graph, acd, l2);
-    const auto res = layered_loophole_coloring(inst.graph, lps, ledger);
+    const auto res = layered_loophole_coloring(inst.graph, lps, ctx);
     EXPECT_FALSE(res.success);
     EXPECT_EQ(res.unreachable, inst.graph.num_nodes());
   }
@@ -180,6 +183,7 @@ TEST(LayeredBaseline, LayerCountTracksDistanceToLoopholes) {
   // On a long clique ring, layers ~ ring length (linear rounds) — the
   // contrast with the O(log n) slack-triad pipeline.
   RoundLedger ledger;
+  LocalContext ctx(ledger);
   const CliqueInstance shortring = clique_ring(6, 6, 1);
   const CliqueInstance longring = clique_ring(30, 6, 1);
   RoundLedger tmp;
@@ -188,8 +192,8 @@ TEST(LayeredBaseline, LayerCountTracksDistanceToLoopholes) {
       shortring.graph, compute_acd(shortring.graph, tmp, p), tmp);
   const auto l2 = find_loopholes_dense(
       longring.graph, compute_acd(longring.graph, tmp, p), tmp);
-  const auto r1 = layered_loophole_coloring(shortring.graph, l1, ledger);
-  const auto r2 = layered_loophole_coloring(longring.graph, l2, ledger);
+  const auto r1 = layered_loophole_coloring(shortring.graph, l1, ctx);
+  const auto r2 = layered_loophole_coloring(longring.graph, l2, ctx);
   ASSERT_TRUE(r1.success && r2.success);
   EXPECT_LE(r1.layers, r2.layers);
 }

@@ -16,6 +16,7 @@
 #include "bench_support/sweep.hpp"
 #include "bench_support/workloads.hpp"
 #include "common/errors.hpp"
+#include "core/delta_coloring.hpp"
 #include "graph/generators.hpp"
 #include "local/context.hpp"
 #include "local/faults.hpp"
@@ -158,6 +159,21 @@ TEST(FaultGrammar, ShardKeyIsUnknown) {
   EXPECT_NE(error.find("unknown fault key 'shard'"), std::string::npos)
       << error;
   EXPECT_NE(error.find("did you mean"), std::string::npos) << error;
+}
+
+TEST(FaultMatrix, PhaseFaultReachesPipelinePhases) {
+  // Algorithm 2's own phases charge through LocalContext, so a
+  // phase-addressed engine exception fires at phase2-split, the virtual
+  // G_Q splitting run, and not only at a primitive's default label.
+  ArmedScope armed({spec_of("engine-exception@phase=phase2-split")});
+  const CliqueInstance inst = hard_instance(16, 16, 3);
+  try {
+    delta_color_dense(inst.graph, scaled_options(16));
+    FAIL() << "the run completed without the injected fault";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find("phase2-split"), std::string::npos)
+        << e.what();
+  }
 }
 
 TEST(FaultMatrix, EngineExceptionIsCaughtAndQuarantined) {

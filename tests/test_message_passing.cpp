@@ -37,7 +37,8 @@ TEST(MessagePassing, MisMatchesDirectImplementationGuarantees) {
   // Not the same set (different schedules), but both maximal independent.
   Graph g = random_regular(128, 4, 9);
   RoundLedger l1, l2;
-  const auto direct = mis_luby(g, 7, l1);
+  LocalContext l1_ctx(l1, {}, 7);
+  const auto direct = mis_luby(g, l1_ctx);
   const auto mp = mis_message_passing(g, 7, l2);
   EXPECT_TRUE(is_maximal_independent_set(g, direct));
   EXPECT_TRUE(is_maximal_independent_set(g, mp));

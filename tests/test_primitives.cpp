@@ -47,7 +47,8 @@ std::vector<Graph> test_graphs() {
 TEST(Linial, ProperColoringOnFamilies) {
   for (const Graph& g : test_graphs()) {
     RoundLedger ledger;
-    const LinialResult res = linial_coloring(g, ledger);
+    LocalContext ctx(ledger);
+    const LinialResult res = linial_coloring(g, ctx);
     ASSERT_EQ(res.color.size(), g.num_nodes());
     EXPECT_TRUE(is_proper_coloring(g, res.color, res.num_colors))
         << "n=" << g.num_nodes() << " delta=" << g.max_degree();
@@ -59,7 +60,8 @@ TEST(Linial, PaletteIsDeltaSquaredish) {
   Graph g = random_regular(512, 6, 3);
   g.set_ids(shuffled_ids(512, 11));
   RoundLedger ledger;
-  const LinialResult res = linial_coloring(g, ledger);
+  LocalContext ctx(ledger);
+  const LinialResult res = linial_coloring(g, ctx);
   // Fixed point is q^2 for the smallest valid prime q > Delta + 1.
   EXPECT_LE(res.num_colors, 4 * (6 + 4) * (6 + 4));
 }
@@ -70,7 +72,8 @@ TEST(Linial, RoundsGrowLikeLogStar) {
     Graph g = random_regular(n, 4, n);
     g.set_ids(shuffled_ids(n, n + 1));
     RoundLedger ledger;
-    const LinialResult res = linial_coloring(g, ledger);
+    LocalContext ctx(ledger);
+    const LinialResult res = linial_coloring(g, ctx);
     EXPECT_TRUE(is_proper_coloring(g, res.color, res.num_colors));
     EXPECT_LE(res.rounds, 8);
   }
@@ -82,7 +85,8 @@ TEST(Linial, AdversarialIdsStillProper) {
   for (NodeId v = 0; v < 64; ++v) ids[v] = (v % 2 == 0) ? v : (1ull << 40) + v;
   g.set_ids(ids);
   RoundLedger ledger;
-  const LinialResult res = linial_coloring(g, ledger);
+  LocalContext ctx(ledger);
+  const LinialResult res = linial_coloring(g, ctx);
   EXPECT_TRUE(is_proper_coloring(g, res.color, res.num_colors));
 }
 
@@ -142,10 +146,11 @@ TEST(Linial, MultiStagePinned) {
 
 TEST(Linial, EmptyAndSingleton) {
   RoundLedger ledger;
+  LocalContext ctx(ledger);
   Graph g0(0, {});
-  EXPECT_EQ(linial_coloring(g0, ledger).num_colors, 1);
+  EXPECT_EQ(linial_coloring(g0, ctx).num_colors, 1);
   Graph g1(1, {});
-  const auto r1 = linial_coloring(g1, ledger);
+  const auto r1 = linial_coloring(g1, ctx);
   EXPECT_TRUE(is_proper_coloring(g1, r1.color, r1.num_colors));
 }
 
@@ -154,10 +159,11 @@ TEST(Linial, EmptyAndSingleton) {
 TEST(DegPlusOne, DeltaPlusOneColoringEverywhere) {
   for (const Graph& g : test_graphs()) {
     RoundLedger ledger;
+    LocalContext ctx(ledger);
     std::vector<Color> color(g.num_nodes(), kNoColor);
     NodeMask active(g.num_nodes(), 1);
     const auto lists = uniform_lists(g, g.max_degree() + 1);
-    deg_plus_one_list_color(g, active, lists, color, ledger);
+    deg_plus_one_list_color(g, active, lists, color, ctx);
     EXPECT_TRUE(is_proper_coloring(g, color, g.max_degree() + 1));
   }
 }
@@ -169,9 +175,10 @@ TEST(DegPlusOne, RespectsArbitraryLists) {
     lists[v] = {static_cast<Color>(100 + v % 3), static_cast<Color>(7),
                 static_cast<Color>(200 + v % 4)};
   RoundLedger ledger;
+  LocalContext ctx(ledger);
   std::vector<Color> color(10, kNoColor);
   NodeMask active(10, 1);
-  deg_plus_one_list_color(g, active, lists, color, ledger);
+  deg_plus_one_list_color(g, active, lists, color, ctx);
   EXPECT_TRUE(respects_lists(g, color, lists));
 }
 
@@ -183,7 +190,8 @@ TEST(DegPlusOne, PartialInstanceExtendsColoring) {
   NodeMask active = {0, 0, 1, 1, 1, 1};
   const auto lists = uniform_lists(g, 6);
   RoundLedger ledger;
-  deg_plus_one_list_color(g, active, lists, color, ledger);
+  LocalContext ctx(ledger);
+  deg_plus_one_list_color(g, active, lists, color, ctx);
   EXPECT_TRUE(is_proper_coloring(g, color, 6));
   EXPECT_EQ(color[0], 3);  // pre-colored nodes untouched
   EXPECT_EQ(color[1], 1);
@@ -195,7 +203,8 @@ TEST(DegPlusOne, PreconditionViolationThrows) {
   NodeMask active(4, 1);
   const auto lists = uniform_lists(g, 3);  // needs >= 4 colors
   RoundLedger ledger;
-  EXPECT_THROW(deg_plus_one_list_color(g, active, lists, color, ledger),
+  LocalContext ctx(ledger);
+  EXPECT_THROW(deg_plus_one_list_color(g, active, lists, color, ctx),
                std::logic_error);
 }
 
@@ -204,18 +213,20 @@ TEST(DegPlusOne, ActiveNodeAlreadyColoredThrows) {
   std::vector<Color> color = {0, kNoColor, kNoColor};
   NodeMask active(3, 1);
   RoundLedger ledger;
+  LocalContext ctx(ledger);
   EXPECT_THROW(
-      deg_plus_one_list_color(g, active, uniform_lists(g, 3), color, ledger),
+      deg_plus_one_list_color(g, active, uniform_lists(g, 3), color, ctx),
       std::logic_error);
 }
 
 TEST(DegPlusOne, RandomizedVariantMatchesGuarantees) {
   for (const Graph& g : test_graphs()) {
     RoundLedger ledger;
+    LocalContext ctx(ledger, {}, 99);
     std::vector<Color> color(g.num_nodes(), kNoColor);
     NodeMask active(g.num_nodes(), 1);
     const auto lists = uniform_lists(g, g.max_degree() + 1);
-    deg_plus_one_list_color_randomized(g, active, lists, color, 99, ledger);
+    deg_plus_one_list_color_randomized(g, active, lists, color, ctx);
     EXPECT_TRUE(is_proper_coloring(g, color, g.max_degree() + 1));
   }
 }
@@ -225,8 +236,9 @@ TEST(DegPlusOne, EmptyActiveSetIsNoop) {
   std::vector<Color> color(5, kNoColor);
   NodeMask active(5, 0);
   RoundLedger ledger;
+  LocalContext ctx(ledger);
   EXPECT_EQ(deg_plus_one_list_color(g, active, uniform_lists(g, 3), color,
-                                    ledger),
+                                    ctx),
             0);
   EXPECT_EQ(ledger.total(), 0);
 }
@@ -236,7 +248,8 @@ TEST(DegPlusOne, EmptyActiveSetIsNoop) {
 TEST(Mis, DeterministicIsMaximalIndependent) {
   for (const Graph& g : test_graphs()) {
     RoundLedger ledger;
-    const auto set = mis_deterministic(g, ledger);
+    LocalContext ctx(ledger);
+    const auto set = mis_deterministic(g, ctx);
     EXPECT_TRUE(is_maximal_independent_set(g, set));
     EXPECT_GT(ledger.total(), 0);
   }
@@ -245,15 +258,18 @@ TEST(Mis, DeterministicIsMaximalIndependent) {
 TEST(Mis, LubyIsMaximalIndependent) {
   for (const Graph& g : test_graphs()) {
     RoundLedger ledger;
-    const auto set = mis_luby(g, 31337, ledger);
+    LocalContext ctx(ledger, {}, 31337);
+    const auto set = mis_luby(g, ctx);
     EXPECT_TRUE(is_maximal_independent_set(g, set));
   }
 }
 
 TEST(Mis, LubyRoundsLogarithmic) {
   RoundLedger small_ledger, big_ledger;
-  mis_luby(random_regular(128, 4, 1), 7, small_ledger);
-  mis_luby(random_regular(8192, 4, 2), 7, big_ledger);
+  LocalContext small_ctx(small_ledger, {}, 7);
+  LocalContext big_ctx(big_ledger, {}, 7);
+  mis_luby(random_regular(128, 4, 1), small_ctx);
+  mis_luby(random_regular(8192, 4, 2), big_ctx);
   EXPECT_LE(big_ledger.total(), 8 * std::max<std::int64_t>(
                                         1, small_ledger.total()));
 }
@@ -263,7 +279,8 @@ TEST(Mis, LubyRoundsLogarithmic) {
 TEST(Matching, DeterministicIsMaximal) {
   for (const Graph& g : test_graphs()) {
     RoundLedger ledger;
-    const auto m = maximal_matching_deterministic(g, ledger);
+    LocalContext ctx(ledger);
+    const auto m = maximal_matching_deterministic(g, ctx);
     EXPECT_TRUE(is_maximal_matching(g, m));
   }
 }
@@ -271,7 +288,8 @@ TEST(Matching, DeterministicIsMaximal) {
 TEST(Matching, RandomizedIsMaximal) {
   for (const Graph& g : test_graphs()) {
     RoundLedger ledger;
-    const auto m = maximal_matching_randomized(g, 4242, ledger);
+    LocalContext ctx(ledger, {}, 4242);
+    const auto m = maximal_matching_randomized(g, ctx);
     EXPECT_TRUE(is_maximal_matching(g, m));
   }
 }
@@ -279,7 +297,8 @@ TEST(Matching, RandomizedIsMaximal) {
 TEST(Matching, EdgelessGraph) {
   Graph g(7, {});
   RoundLedger ledger;
-  const auto m = maximal_matching_deterministic(g, ledger);
+  LocalContext ctx(ledger);
+  const auto m = maximal_matching_deterministic(g, ctx);
   EXPECT_TRUE(m.empty());
 }
 
@@ -289,7 +308,8 @@ TEST(RulingSet, IndependenceAndDomination) {
   for (const Graph& g : test_graphs()) {
     if (g.num_nodes() == 0) continue;
     RoundLedger ledger;
-    const RulingSetResult rs = ruling_set(g, ledger);
+    LocalContext ctx(ledger);
+    const RulingSetResult rs = ruling_set(g, ctx);
     EXPECT_TRUE(is_independent_set(g, rs.in_set));
     EXPECT_TRUE(dominates_within(g, rs.in_set, rs.domination_radius))
         << "claimed radius " << rs.domination_radius;
@@ -299,7 +319,8 @@ TEST(RulingSet, IndependenceAndDomination) {
 TEST(RulingSet, NonEmptyOnNonEmptyGraph) {
   Graph g = cycle_graph(30);
   RoundLedger ledger;
-  const RulingSetResult rs = ruling_set(g, ledger);
+  LocalContext ctx(ledger);
+  const RulingSetResult rs = ruling_set(g, ctx);
   int members = 0;
   for (NodeId v = 0; v < g.num_nodes(); ++v)
     if (rs.in_set[v]) ++members;
@@ -310,8 +331,9 @@ TEST(RulingSet, DominationRadiusIsLogDeltaShaped) {
   // The radius bound depends on the Linial palette (O(log Delta) bits),
   // not on n.
   RoundLedger ledger;
-  const auto r1 = ruling_set(random_regular(256, 4, 3), ledger);
-  const auto r2 = ruling_set(random_regular(4096, 4, 4), ledger);
+  LocalContext ctx(ledger);
+  const auto r1 = ruling_set(random_regular(256, 4, 3), ctx);
+  const auto r2 = ruling_set(random_regular(4096, 4, 4), ctx);
   EXPECT_EQ(r1.domination_radius, r2.domination_radius);
 }
 

@@ -130,7 +130,8 @@ TEST_P(HegSweep, DistributedMatchesCentralized) {
   const auto [n, delta, rank, seed] = GetParam();
   const Hypergraph h = bench::random_hypergraph(n, delta, rank, seed);
   RoundLedger ledger;
-  const HegResult dist = solve_heg(h, ledger);
+  LocalContext ctx(ledger);
+  const HegResult dist = solve_heg(h, ctx);
   const HegResult cent = solve_heg_centralized(h);
   EXPECT_EQ(dist.complete, cent.complete);
   EXPECT_TRUE(is_valid_heg(h, dist, dist.complete));
@@ -163,8 +164,9 @@ TEST_P(SplitFamilies, PartitionAndDiscrepancy) {
     }
   }();
   RoundLedger ledger;
+  LocalContext ctx(ledger);
   const int segment = 32, levels = 2;
-  const auto split = degree_split(g, levels, segment, 9, ledger);
+  const auto split = degree_split(g, levels, segment, 9, ctx);
   // Partition property.
   std::vector<int> total(g.num_nodes(), 0);
   for (int p = 0; p < split.num_parts; ++p) {
@@ -194,7 +196,8 @@ TEST(SplitMultigraph, ParallelEdgesSupported) {
   for (int k = 0; k < 16; ++k) edges.emplace_back(0, 1);
   for (int k = 0; k < 16; ++k) edges.emplace_back(1, 2);
   RoundLedger ledger;
-  const auto split = degree_split_edges(3, edges, 1, 8, 3, ledger);
+  LocalContext ctx(ledger);
+  const auto split = degree_split_edges(3, edges, 1, 8, 3, ctx);
   int part0_at_0 = 0;
   for (int k = 0; k < 16; ++k)
     if (split.part[static_cast<std::size_t>(k)] == 0) ++part0_at_0;

@@ -8,6 +8,8 @@
 #include "graph/checker.hpp"
 #include "graph/generators.hpp"
 #include "primitives/linial.hpp"
+#include "primitives/list_coloring.hpp"
+#include "primitives/maximal_matching.hpp"
 #include "randomized/randomized_coloring.hpp"
 
 namespace deltacolor {
@@ -22,7 +24,8 @@ TEST(EdgeColoring, ProperOnFamilies) {
   gs.push_back(bench::hard_instance(12, 10, 4).graph);
   for (const Graph& g : gs) {
     RoundLedger ledger;
-    const LinialResult ec = linial_edge_coloring(g, ledger);
+    LocalContext ctx(ledger);
+    const LinialResult ec = linial_edge_coloring(g, ctx);
     ASSERT_EQ(ec.color.size(), g.num_edges());
     // Properness on the line graph: incident edges differ in color.
     for (NodeId v = 0; v < g.num_nodes(); ++v) {
@@ -42,7 +45,8 @@ TEST(EdgeColoring, ProperOnFamilies) {
 TEST(EdgeColoring, EmptyGraph) {
   Graph g(4, {});
   RoundLedger ledger;
-  const LinialResult ec = linial_edge_coloring(g, ledger);
+  LocalContext ctx(ledger);
+  const LinialResult ec = linial_edge_coloring(g, ctx);
   EXPECT_TRUE(ec.color.empty());
 }
 
@@ -98,6 +102,111 @@ TEST(RoundAccounting, DeterministicIsSeedInvariantGivenIds) {
   const auto r2 = delta_color_dense(inst.graph, scaled_options(12));
   EXPECT_EQ(r1.color, r2.color);
   EXPECT_EQ(r1.ledger.total(), r2.ledger.total());
+}
+
+TEST(RoundAccounting, DilationFramesMultiplyAndBranchesTakeTheMax) {
+  RoundLedger ledger;
+  LocalContext ctx(ledger);
+  {
+    ScopedPhase outer(ctx, "outer", 3);
+    ctx.charge(1);  // 1 x 3
+    {
+      ScopedPhase inner(ctx, "inner", 2);
+      ctx.charge(1, 5);  // 1 x 5 x 2 x 3
+    }
+    ParallelBranches branches(ctx);
+    for (const int rounds : {4, 9, 2}) {
+      branches.next();
+      ScopedPhase branch(ctx, "branch", 2);
+      ctx.charge(rounds);  // into the branch, without outer's x3
+    }
+    const std::int64_t longest = branches.close();
+    EXPECT_EQ(longest, 18);
+    ctx.charge(longest);  // outer's x3 applies once
+  }
+  EXPECT_EQ(ledger.phase_total("outer"), 3 + 54);
+  EXPECT_EQ(ledger.phase_total("inner"), 30);
+  EXPECT_EQ(ledger.phases().size(), 2u) << "branch charges stay out";
+  EXPECT_EQ(ledger.total(), 87);
+}
+
+/// Order-sensitive hash of a ledger's per-phase list: every label (zero-round
+/// entries included) with its rounds, in first-charge order. Unlike a
+/// total, it moves when a round moves from one phase to another.
+std::uint64_t phases_hash(const RoundLedger& ledger) {
+  std::uint64_t h = 1469598103934665603ULL;
+  const auto mix = [&h](std::uint64_t v) { h = (h ^ v) * 1099511628211ULL; };
+  for (const auto& [phase, rounds] : ledger.phases()) {
+    for (const char c : phase) mix(static_cast<unsigned char>(c));
+    mix(0);
+    mix(static_cast<std::uint64_t>(rounds));
+  }
+  return h;
+}
+
+TEST(RoundAccounting, PhaseLedgersPinned) {
+  struct Pin {
+    const char* run;
+    std::uint64_t hash;
+  };
+  constexpr Pin kPins[] = {
+      {"det-hard", 0x88cc022c77b5847bULL},
+      {"det-mixed", 0x86461567c0eedd49ULL},
+      {"rand-shattered", 0x4bcf301c026bab83ULL},
+      {"matching-det", 0x1c8705c28a4beb46ULL},
+      {"matching-pr", 0xe5d6c21a58d5b90bULL},
+      {"deg+1-list", 0x0d09c34fe74a94d6ULL},
+  };
+  const CliqueInstance hard = bench::hard_instance(64, 16, 3);
+  const CliqueInstance mixed = bench::mixed_instance(64, 16, 0.25, 3);
+  // The Randomized.PreshatteringPinnedOnBlowups point spacing=2, rounds=2,
+  // which leaves two shattered components.
+  const CliqueInstance shattered = bench::mixed_instance(256, 16, 0.25, 71);
+  const Graph regular = random_regular(256, 8, 5);
+
+  for (const int workers : {1, 4}) {
+    const EngineOptions engine{workers};
+    const auto ledger_of = [&](std::string_view run) -> RoundLedger {
+      if (run == "det-hard" || run == "det-mixed") {
+        DeltaColoringOptions opt = scaled_options(16);
+        opt.engine = engine;
+        auto res = delta_color_dense(
+            run == "det-hard" ? hard.graph : mixed.graph, opt);
+        EXPECT_TRUE(res.valid) << run;
+        return std::move(res.ledger);
+      }
+      if (run == "rand-shattered") {
+        RandomizedOptions opt = scaled_randomized_options(16, 13);
+        opt.engine = engine;
+        opt.spacing = 2;
+        opt.placement_rounds = 2;
+        auto res = randomized_delta_color(shattered.graph, opt);
+        EXPECT_TRUE(res.valid);
+        EXPECT_GE(res.stats.components, 1);
+        return std::move(res.ledger);
+      }
+      RoundLedger ledger;
+      LocalContext ctx(ledger, engine);
+      if (run == "matching-det") {
+        maximal_matching_deterministic(regular, ctx);
+      } else if (run == "matching-pr") {
+        maximal_matching_pr(regular, ctx);
+      } else {
+        std::vector<Color> color(regular.num_nodes(), kNoColor);
+        deg_plus_one_list_color(regular, NodeMask(regular.num_nodes(), 1),
+                                uniform_lists(regular, 9), color, ctx);
+        EXPECT_TRUE(is_proper_coloring(regular, color, 9));
+      }
+      return ledger;
+    };
+    for (const Pin& pin : kPins) {
+      const RoundLedger ledger = ledger_of(pin.run);
+      EXPECT_EQ(phases_hash(ledger), pin.hash)
+          << pin.run << " workers=" << workers << std::hex << " got 0x"
+          << phases_hash(ledger) << "\n"
+          << ledger.report();
+    }
+  }
 }
 
 }  // namespace

@@ -18,7 +18,8 @@ namespace {
 TEST(DegreeSplit, PartitionCoversAllEdges) {
   Graph g = random_regular(200, 8, 1);
   RoundLedger ledger;
-  const auto split = degree_split(g, 2, 32, 5, ledger);
+  LocalContext ctx(ledger);
+  const auto split = degree_split(g, 2, 32, 5, ctx);
   ASSERT_EQ(split.part.size(), g.num_edges());
   EXPECT_EQ(split.num_parts, 4);
   for (EdgeId e = 0; e < g.num_edges(); ++e) {
@@ -42,8 +43,9 @@ TEST_P(SplitDiscrepancyTest, PerNodeDiscrepancyBounded) {
   const auto [levels, degree] = GetParam();
   Graph g = random_regular(600, degree, 77 + degree);
   RoundLedger ledger;
+  LocalContext ctx(ledger);
   const int segment_length = 32;
-  const auto split = degree_split(g, levels, segment_length, 9, ledger);
+  const auto split = degree_split(g, levels, segment_length, 9, ctx);
   const int parts = 1 << levels;
   // Corollary 22 shape: each part's per-node degree lies within
   // deg/2^i +- (eps * deg + a). Our empirical bound uses eps = 2/segment
@@ -75,7 +77,8 @@ TEST(DegreeSplit, SingleHalvingOnCycleIsNearPerfect) {
   // segment boundaries and the odd-cycle closure.
   Graph g = cycle_graph(257);
   RoundLedger ledger;
-  const auto split = degree_split(g, 1, 64, 3, ledger);
+  LocalContext ctx(ledger);
+  const auto split = degree_split(g, 1, 64, 3, ctx);
   const auto deg0 = part_degrees(g, split, 0);
   for (NodeId v = 0; v < g.num_nodes(); ++v) EXPECT_LE(deg0[v], 2);
 }
@@ -83,8 +86,9 @@ TEST(DegreeSplit, SingleHalvingOnCycleIsNearPerfect) {
 TEST(DegreeSplit, RejectsBadParameters) {
   Graph g = cycle_graph(8);
   RoundLedger ledger;
-  EXPECT_THROW(degree_split(g, 0, 16, 1, ledger), std::logic_error);
-  EXPECT_THROW(degree_split(g, 1, 1, 1, ledger), std::logic_error);
+  LocalContext ctx(ledger);
+  EXPECT_THROW(degree_split(g, 0, 16, 1, ctx), std::logic_error);
+  EXPECT_THROW(degree_split(g, 1, 1, 1, ctx), std::logic_error);
 }
 
 // --- hyperedge grabbing -------------------------------------------------------
@@ -140,7 +144,8 @@ TEST(Heg, DistributedMatchesCentralizedFeasibility) {
   for (std::uint64_t seed = 1; seed <= 8; ++seed) {
     const Hypergraph h = random_heg_instance(80, 7, 5, seed);
     RoundLedger ledger;
-    const HegResult dist = solve_heg(h, ledger);
+    LocalContext ctx(ledger);
+    const HegResult dist = solve_heg(h, ctx);
     const HegResult cent = solve_heg_centralized(h);
     EXPECT_EQ(dist.complete, cent.complete) << "seed " << seed;
     EXPECT_TRUE(is_valid_heg(h, dist, dist.complete));
@@ -160,7 +165,8 @@ TEST(Heg, SinklessOrientationViaHeg) {
   EXPECT_EQ(h.rank(), 2);
   EXPECT_EQ(h.min_degree(), 3);
   RoundLedger ledger;
-  const HegResult r = solve_heg(h, ledger);
+  LocalContext ctx(ledger);
+  const HegResult r = solve_heg(h, ctx);
   EXPECT_TRUE(r.complete);
   EXPECT_TRUE(is_valid_heg(h, r));
 }
@@ -172,7 +178,8 @@ TEST(Heg, InfeasibleInstanceReportsIncomplete) {
   h.edges = {{0, 1}};
   h.build_incidence();
   RoundLedger ledger;
-  const HegResult r = solve_heg(h, ledger);
+  LocalContext ctx(ledger);
+  const HegResult r = solve_heg(h, ctx);
   EXPECT_FALSE(r.complete);
   EXPECT_TRUE(is_valid_heg(h, r, /*require_complete=*/false));
   EXPECT_FALSE(solve_heg_centralized(h).complete);
