@@ -6,8 +6,6 @@
 // (orients outward) one incident edge, no edge is grabbed twice. Sweep n
 // on random 3-regular graphs and on the cross-edge structure of clique
 // blow-ups; the solver's rounds exhibit the log n shape.
-#include <benchmark/benchmark.h>
-
 #include "bench_support/sweep.hpp"
 #include "bench_support/table.hpp"
 #include "bench_support/workloads.hpp"
@@ -105,24 +103,9 @@ void run_tables() {
   }
 }
 
-void BM_SinklessOrientation(benchmark::State& state) {
-  const int n = static_cast<int>(state.range(0));
-  const auto g = cached_regular(n, 3, 11);
-  const Hypergraph h = edges_as_hypergraph(*g);
-  for (auto _ : state) {
-    RoundLedger ledger;
-    LocalContext ctx(ledger);
-    benchmark::DoNotOptimize(solve_heg(h, ctx).grabbed_edge.data());
-  }
-}
-BENCHMARK(BM_SinklessOrientation)->Arg(1024)->Arg(8192)
-    ->Unit(benchmark::kMillisecond);
-
 }  // namespace
 
-int main(int argc, char** argv) {
+int main() {
   run_tables();
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
   return 0;
 }

@@ -3,11 +3,6 @@
 // our realization (the paper's black boxes are O(Delta + log* n) /
 // O~(log^{5/3} n); substitution documented in DESIGN.md). Rounds must be
 // essentially flat in n and grow with Delta.
-#include <benchmark/benchmark.h>
-
-#include <chrono>
-#include <thread>
-
 #include "bench_support/sweep.hpp"
 #include "bench_support/table.hpp"
 #include "bench_support/workloads.hpp"
@@ -84,98 +79,9 @@ void run_tables() {
   std::cout << driver.report() << "\n";
 }
 
-// The composed Theorem 1 pipeline (not a demo algorithm) under the
-// execution-layer knobs: every nested engine stage inherits the request's
-// EngineOptions through LocalContext, so `--threads` reaches
-// Linial, KW reduction, matching, HEG scheduling, and the deg+1 instances
-// end to end. Colorings are asserted bit-identical across all configs.
-// Serial on purpose: this section measures engine wall-clock.
-void run_engine_tables() {
-  banner("E11b", "composed det pipeline under --threads");
-  const auto inst = cached_hard(512, 16, 3);
-  const Graph& g = inst->graph;
-  const unsigned hw = std::thread::hardware_concurrency();
-  std::cout << "n = " << g.num_nodes() << ", Delta = " << g.max_degree()
-            << ", hardware threads = " << hw << "\n";
-  struct Config {
-    const char* name;
-    EngineOptions opts;
-  };
-  const Config configs[] = {
-      {"serial", {1}},
-      {"4 workers", {4}},
-  };
-  Table t({"engine", "workers", "rounds", "wall(ms)", "speedup", "valid"});
-  double baseline_ms = 0.0;
-  std::vector<Color> baseline_color;
-  for (const Config& cfg : configs) {
-    AlgorithmRequest req;
-    req.engine = cfg.opts;
-    // Best-of-3: per-run wall clock is single-digit-percent noisy, which
-    // would swamp the worker-count delta.
-    double ms = 0.0;
-    AlgorithmResult res;
-    for (int rep = 0; rep < 3; ++rep) {
-      const auto t0 = std::chrono::steady_clock::now();
-      res = run_registered("det", g, req);
-      const double rep_ms = std::chrono::duration<double, std::milli>(
-                                std::chrono::steady_clock::now() - t0)
-                                .count();
-      if (rep == 0 || rep_ms < ms) ms = rep_ms;
-    }
-    if (baseline_color.empty()) {
-      baseline_ms = ms;
-      baseline_color = res.color;
-    }
-    const bool valid = res.ok && res.color == baseline_color;
-    t.row(cfg.name, cfg.opts.num_threads, res.ledger.total(), ms,
-          baseline_ms / std::max(ms, 1e-9), valid ? "yes" : "NO");
-    BenchJson("E11")
-        .field("workload", "composed-det-pipeline")
-        .field("engine", cfg.name)
-        .field("workers", cfg.opts.num_threads)
-        .field("hw_threads", static_cast<std::int64_t>(hw))
-        .field("n", g.num_nodes())
-        .field("valid", valid)
-        .field("wall_ms", ms)
-        .field("speedup_vs_serial", baseline_ms / std::max(ms, 1e-9))
-        .ledger(res.ledger)
-        .print();
-  }
-  t.print();
-  std::cout << "rounds are engine-invariant by construction; colorings are "
-               "asserted bit-identical across all rows; worker rows can "
-               "only beat serial when hardware threads > 1 (workers share "
-               "a cached process-wide pool)\n";
-}
-
-void BM_Linial(benchmark::State& state) {
-  const auto inst = cached_hard(256, 16, 3);
-  for (auto _ : state) {
-    RoundLedger l;
-    LocalContext l_ctx(l);
-    benchmark::DoNotOptimize(linial_coloring(inst->graph, l_ctx).color.data());
-  }
-}
-BENCHMARK(BM_Linial)->Unit(benchmark::kMillisecond);
-
-void BM_MaximalMatching(benchmark::State& state) {
-  const auto inst = cached_hard(256, 16, 3);
-  for (auto _ : state) {
-    RoundLedger l;
-    LocalContext l_ctx(l);
-    benchmark::DoNotOptimize(
-        maximal_matching_deterministic(inst->graph, l_ctx).size());
-  }
-}
-BENCHMARK(BM_MaximalMatching)->Unit(benchmark::kMillisecond);
-
 }  // namespace
 
-int main(int argc, char** argv) {
+int main() {
   run_tables();
-  run_engine_tables();
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
   return 0;
 }

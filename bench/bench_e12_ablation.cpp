@@ -8,8 +8,6 @@
 //
 // Each ablation reuses one cached instance across its option variants, and
 // the variants run as sweep cells.
-#include <benchmark/benchmark.h>
-
 #include "bench_support/sweep.hpp"
 #include "bench_support/table.hpp"
 #include "bench_support/workloads.hpp"
@@ -143,23 +141,13 @@ void ablate_tnode_spacing() {
                "either way.)\n";
 }
 
-void BM_AblationPipeline(benchmark::State& state) {
-  const auto inst = cached_hard(64, 16, 9);
-  for (auto _ : state)
-    benchmark::DoNotOptimize(
-        delta_color_dense(inst->graph, scaled_options(16)).color.data());
-}
-BENCHMARK(BM_AblationPipeline)->Unit(benchmark::kMillisecond);
-
 }  // namespace
 
-int main(int argc, char** argv) {
+int main() {
   banner("E12", "ablations of the paper's fixed constants");
   ablate_subclique_count();
   ablate_splitter();
   ablate_easy_fraction();
   ablate_tnode_spacing();
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
   return 0;
 }

@@ -11,8 +11,6 @@
 // Cells run through SweepDriver: instances come from the keyed
 // InstanceCache and the grid executes concurrently when sweep workers are
 // available, with rows (and BENCH_JSON lines) emitted in grid order.
-#include <benchmark/benchmark.h>
-
 #include <chrono>
 
 #include "bench_support/sweep.hpp"
@@ -134,24 +132,9 @@ void run_tables() {
   }
 }
 
-void BM_DeterministicColoring(benchmark::State& state) {
-  const int cliques = static_cast<int>(state.range(0));
-  const auto inst = cached_hard(cliques, 16, 99);
-  for (auto _ : state) {
-    const auto res = delta_color_dense(inst->graph, scaled_options(16));
-    benchmark::DoNotOptimize(res.color.data());
-    state.counters["rounds"] = static_cast<double>(res.ledger.total());
-  }
-  state.counters["n"] = inst->graph.num_nodes();
-}
-BENCHMARK(BM_DeterministicColoring)->Arg(32)->Arg(128)->Arg(512)
-    ->Unit(benchmark::kMillisecond);
-
 }  // namespace
 
-int main(int argc, char** argv) {
+int main() {
   run_tables();
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
   return 0;
 }

@@ -8,8 +8,6 @@
 // substitution is documented in DESIGN.md). The table separates the
 // n-dependent HEG phase, which stays flat, from the Delta-dependent
 // constants.
-#include <benchmark/benchmark.h>
-
 #include <algorithm>
 #include <cmath>
 
@@ -77,23 +75,9 @@ void run_tables() {
   std::cout << driver.report() << "\n";
 }
 
-void BM_ColoringByDelta(benchmark::State& state) {
-  const int delta = static_cast<int>(state.range(0));
-  const auto inst = cached_hard(32, delta, 5);
-  for (auto _ : state) {
-    const auto res = delta_color_dense(inst->graph, scaled_options(delta));
-    benchmark::DoNotOptimize(res.color.data());
-    state.counters["rounds"] = static_cast<double>(res.ledger.total());
-  }
-}
-BENCHMARK(BM_ColoringByDelta)->Arg(12)->Arg(24)->Arg(48)
-    ->Unit(benchmark::kMillisecond);
-
 }  // namespace
 
-int main(int argc, char** argv) {
+int main() {
   run_tables();
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
   return 0;
 }

@@ -6,8 +6,6 @@
 // rounding at Delta = 63 with K = 28 (delta_H = floor(63/28) = 2 = r_H);
 // it holds once sub-cliques carry >= 3 members — either via larger Delta
 // (>= ~150 with K = 28) or via the scaled K used by default here.
-#include <benchmark/benchmark.h>
-
 #include "bench_support/sweep.hpp"
 #include "bench_support/table.hpp"
 #include "bench_support/workloads.hpp"
@@ -64,20 +62,9 @@ void run_tables() {
   std::cout << driver.report() << "\n";
 }
 
-void BM_PipelinePhase1(benchmark::State& state) {
-  const auto inst = cached_hard(64, 16, 9);
-  for (auto _ : state) {
-    const auto res = delta_color_dense(inst->graph, scaled_options(16));
-    benchmark::DoNotOptimize(res.hard_stats.heg_ratio);
-  }
-}
-BENCHMARK(BM_PipelinePhase1)->Unit(benchmark::kMillisecond);
-
 }  // namespace
 
-int main(int argc, char** argv) {
+int main() {
   run_tables();
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
   return 0;
 }

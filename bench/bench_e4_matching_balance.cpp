@@ -2,8 +2,6 @@
 // at least K outgoing edges (Type I) or an adjacent easy clique (Type II);
 // the sparsified matching F3 leaves exactly 2 outgoing edges per clique
 // and at most (Delta - 2*eps*Delta - 1)/2 incoming ones.
-#include <benchmark/benchmark.h>
-
 #include "bench_support/sweep.hpp"
 #include "bench_support/table.hpp"
 #include "bench_support/workloads.hpp"
@@ -56,20 +54,9 @@ void run_tables() {
   std::cout << driver.report() << "\n";
 }
 
-void BM_MatchingPhases(benchmark::State& state) {
-  const auto inst = cached_hard(96, 16, 4);
-  for (auto _ : state) {
-    const auto res = delta_color_dense(inst->graph, scaled_options(16));
-    benchmark::DoNotOptimize(res.hard_stats.f3_edges);
-  }
-}
-BENCHMARK(BM_MatchingPhases)->Unit(benchmark::kMillisecond);
-
 }  // namespace
 
-int main(int argc, char** argv) {
+int main() {
   run_tables();
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
   return 0;
 }

@@ -3,8 +3,6 @@
 // slack pair vertices, and the virtual conflict graph G_V over slack pairs
 // has maximum degree at most Delta - 2 (so same-coloring the pairs is a
 // deg+1-list instance).
-#include <benchmark/benchmark.h>
-
 #include "bench_support/sweep.hpp"
 #include "bench_support/table.hpp"
 #include "bench_support/workloads.hpp"
@@ -57,20 +55,9 @@ void run_tables() {
   std::cout << driver.report() << "\n";
 }
 
-void BM_TriadFormation(benchmark::State& state) {
-  const auto inst = cached_hard(128, 16, 6);
-  for (auto _ : state) {
-    const auto res = delta_color_dense(inst->graph, scaled_options(16));
-    benchmark::DoNotOptimize(res.hard_stats.num_triads);
-  }
-}
-BENCHMARK(BM_TriadFormation)->Unit(benchmark::kMillisecond);
-
 }  // namespace
 
-int main(int argc, char** argv) {
+int main() {
   run_tables();
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
   return 0;
 }

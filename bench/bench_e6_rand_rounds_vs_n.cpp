@@ -5,12 +5,6 @@
 // Sweep n at fixed Delta; report total rounds, the post-shattering
 // component statistics, and the (weak at laptop scale) log log n shape of
 // the n-dependent part.
-#include <benchmark/benchmark.h>
-
-#include <chrono>
-#include <string_view>
-#include <thread>
-
 #include "bench_support/sweep.hpp"
 #include "bench_support/table.hpp"
 #include "bench_support/workloads.hpp"
@@ -125,142 +119,9 @@ void run_tables() {
   std::cout << driver.report() << "\n";
 }
 
-// Execution-engine head-to-head on the largest seed workload: the same
-// color-trial protocol serial vs the parallel partitioner, against serial
-// as the baseline. Rounds are identical by construction (the engine is
-// deterministic); wall-clock is what changes.
-void run_engine_tables(bool quick = false) {
-  banner("E6b", "round engine: serial vs 4 workers "
-                "(color trials, largest workload)");
-  // --quick (CI perf-smoke): a quarter-size workload and single reps keep
-  // the job under a minute while exercising every engine configuration.
-  const auto inst = cached_hard(quick ? 512 : 2048, 16, 21);
-  const Graph& g = inst->graph;
-  std::cout << "n = " << g.num_nodes() << ", Delta = " << g.max_degree()
-            << "\n";
-  Table t({"engine", "workers", "rounds", "wall(ms)", "speedup", "valid"});
-  double baseline_ms = 0.0;
-  std::vector<Color> baseline_color;
-  struct Config {
-    const char* name;
-    EngineOptions opts;
-  };
-  const Config configs[] = {
-      {"serial", {1}},
-      {"4 workers", {4}},
-  };
-  for (const Config& cfg : configs) {
-    RoundLedger ledger;
-    const auto t0 = std::chrono::steady_clock::now();
-    const auto color =
-        color_trial_message_passing(g, 5, ledger, "trial", cfg.opts);
-    const double ms = std::chrono::duration<double, std::milli>(
-                          std::chrono::steady_clock::now() - t0)
-                          .count();
-    if (baseline_color.empty()) {
-      baseline_ms = ms;
-      baseline_color = color;
-    }
-    const bool valid = is_proper_coloring(g, color, g.max_degree() + 1) &&
-                       color == baseline_color;
-    t.row(cfg.name, cfg.opts.num_threads, ledger.total(), ms,
-          baseline_ms / std::max(ms, 1e-9), valid ? "yes" : "NO");
-    BenchJson("E6")
-        .field("workload", "color-trial-engine")
-        .field("engine", cfg.name)
-        .field("workers", cfg.opts.num_threads)
-        .field("n", g.num_nodes())
-        .field("valid", valid)
-        .field("wall_ms", ms)
-        .field("speedup_vs_serial", baseline_ms / std::max(ms, 1e-9))
-        .ledger(ledger)
-        .print();
-  }
-  t.print();
-  std::cout << "speedup is vs serial; colorings are asserted "
-               "bit-identical across all rows\n";
-
-  // The composed Theorem 2 pipeline under the same knobs: EngineOptions
-  // flow through LocalContext into every nested subroutine (shattered
-  // components included), so this measures the paper pipeline — not a demo
-  // protocol — benefiting from workers. Bit-identical colorings
-  // asserted across configs.
-  const unsigned hw = std::thread::hardware_concurrency();
-  std::cout << "\ncomposed randomized pipeline under the same engine "
-               "configs (hardware threads = "
-            << hw << "):\n";
-  Table t3({"engine", "workers", "rounds", "wall(ms)", "speedup", "valid"});
-  double pipeline_baseline_ms = 0.0;
-  std::vector<Color> pipeline_baseline_color;
-  for (const Config& cfg : configs) {
-    AlgorithmRequest req;
-    req.seed = 21;
-    req.engine = cfg.opts;
-    // Best-of-3 to keep single-run noise below the worker-count delta.
-    double ms = 0.0;
-    AlgorithmResult res;
-    for (int rep = 0; rep < (quick ? 1 : 3); ++rep) {
-      const auto t0 = std::chrono::steady_clock::now();
-      res = run_registered("rand", g, req);
-      const double rep_ms = std::chrono::duration<double, std::milli>(
-                                std::chrono::steady_clock::now() - t0)
-                                .count();
-      if (rep == 0 || rep_ms < ms) ms = rep_ms;
-    }
-    if (pipeline_baseline_color.empty()) {
-      pipeline_baseline_ms = ms;
-      pipeline_baseline_color = res.color;
-    }
-    const bool valid = res.ok && res.color == pipeline_baseline_color;
-    t3.row(cfg.name, cfg.opts.num_threads, res.ledger.total(), ms,
-           pipeline_baseline_ms / std::max(ms, 1e-9), valid ? "yes" : "NO");
-    BenchJson("E6")
-        .field("workload", "composed-rand-pipeline")
-        .field("engine", cfg.name)
-        .field("workers", cfg.opts.num_threads)
-        .field("hw_threads", static_cast<std::int64_t>(hw))
-        .field("n", g.num_nodes())
-        .field("valid", valid)
-        .field("wall_ms", ms)
-        .field("speedup_vs_serial",
-               pipeline_baseline_ms / std::max(ms, 1e-9))
-        .ledger(res.ledger)
-        .print();
-  }
-  t3.print();
-  std::cout << "worker rows can only beat serial when hardware threads > 1; "
-               "rounds and colorings are identical across rows\n";
-}
-
-void BM_RandomizedColoring(benchmark::State& state) {
-  const int cliques = static_cast<int>(state.range(0));
-  const auto inst = cached_hard(cliques, 16, 21);
-  std::uint64_t seed = 0;
-  for (auto _ : state) {
-    const auto res = randomized_delta_color(
-        inst->graph, scaled_randomized_options(16, ++seed));
-    benchmark::DoNotOptimize(res.color.data());
-    state.counters["rounds"] = static_cast<double>(res.ledger.total());
-  }
-  state.counters["n"] = inst->graph.num_nodes();
-}
-BENCHMARK(BM_RandomizedColoring)->Arg(32)->Arg(128)->Arg(512)
-    ->Unit(benchmark::kMillisecond);
-
 }  // namespace
 
-int main(int argc, char** argv) {
-  for (int i = 1; i < argc; ++i) {
-    if (std::string_view(argv[i]) == "--quick") {
-      // Perf-smoke mode: engine head-to-head only, reduced workload, no
-      // google-benchmark sweeps. Same BENCH_JSON schema as the full run.
-      run_engine_tables(true);
-      return 0;
-    }
-  }
+int main() {
   run_tables();
-  run_engine_tables();
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
   return 0;
 }

@@ -13,8 +13,6 @@
 // Every algorithm row is one SweepDriver cell; all five share the cached
 // instance, so the blow-up / ring is generated once per kind instead of
 // once per algorithm.
-#include <benchmark/benchmark.h>
-
 #include <chrono>
 #include <string>
 
@@ -73,7 +71,7 @@ void run_tables() {
     row.n = g.num_nodes();
     switch (c.algorithm) {
       case 0: {  // greedy Delta+1
-        LocalContext lctx(row.ledger);
+        LocalContext lctx(row.ledger, ctx.engine());
         const auto t0 = std::chrono::steady_clock::now();
         const auto color = greedy_delta_plus_one(g, lctx);
         row.ms = ms_since(t0);
@@ -89,7 +87,7 @@ void run_tables() {
         RoundLedger tmp;
         const Acd acd = compute_acd(g, tmp, p);
         const auto lps = find_loopholes_dense(g, acd, tmp);
-        LocalContext lctx(row.ledger);
+        LocalContext lctx(row.ledger, ctx.engine());
         const auto t0 = std::chrono::steady_clock::now();
         const auto res = layered_loophole_coloring(g, lps, lctx);
         row.ms = ms_since(t0);
@@ -208,50 +206,9 @@ void run_tables() {
   }
 }
 
-void BM_Greedy(benchmark::State& state) {
-  const auto inst = cached_hard(128, 16, 17);
-  for (auto _ : state) {
-    RoundLedger ledger;
-    LocalContext ctx(ledger);
-    benchmark::DoNotOptimize(
-        greedy_delta_plus_one(inst->graph, ctx).data());
-  }
-}
-BENCHMARK(BM_Greedy)->Unit(benchmark::kMillisecond);
-
-void BM_Deterministic(benchmark::State& state) {
-  const auto inst = cached_hard(128, 16, 17);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        delta_color_dense(inst->graph, scaled_options(16)).color.data());
-  }
-}
-BENCHMARK(BM_Deterministic)->Unit(benchmark::kMillisecond);
-
-void BM_Randomized(benchmark::State& state) {
-  const auto inst = cached_hard(128, 16, 17);
-  std::uint64_t seed = 0;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        randomized_delta_color(inst->graph,
-                               scaled_randomized_options(16, ++seed))
-            .color.data());
-  }
-}
-BENCHMARK(BM_Randomized)->Unit(benchmark::kMillisecond);
-
-void BM_Brooks(benchmark::State& state) {
-  const auto inst = cached_hard(128, 16, 17);
-  for (auto _ : state)
-    benchmark::DoNotOptimize(brooks_coloring(inst->graph).color.data());
-}
-BENCHMARK(BM_Brooks)->Unit(benchmark::kMillisecond);
-
 }  // namespace
 
-int main(int argc, char** argv) {
+int main() {
   run_tables();
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
   return 0;
 }

@@ -4,8 +4,6 @@
 // Sweep n and the delta/r ratio on random multihypergraphs; report the
 // distributed solver's simulated rounds (log n shape, flattening as the
 // expansion delta/r grows) and validate each solution.
-#include <benchmark/benchmark.h>
-
 #include "bench_support/sweep.hpp"
 #include "bench_support/table.hpp"
 #include "bench_support/workloads.hpp"
@@ -77,24 +75,9 @@ void run_tables() {
   std::cout << driver.report() << "\n";
 }
 
-void BM_HegSolver(benchmark::State& state) {
-  const int n = static_cast<int>(state.range(0));
-  const auto h = cached_hypergraph(n, 8, 4, 42);
-  for (auto _ : state) {
-    RoundLedger ledger;
-    LocalContext ctx(ledger);
-    const auto res = solve_heg(*h, ctx);
-    benchmark::DoNotOptimize(res.grabbed_edge.data());
-    state.counters["rounds"] = res.rounds;
-  }
-}
-BENCHMARK(BM_HegSolver)->Arg(512)->Arg(4096)->Unit(benchmark::kMillisecond);
-
 }  // namespace
 
-int main(int argc, char** argv) {
+int main() {
   run_tables();
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
   return 0;
 }

@@ -4,8 +4,6 @@
 // Sweep the segment length (~1/eps') and the recursion depth i on random
 // regular graphs; report the worst observed per-node discrepancy against
 // the bound and the simulated rounds.
-#include <benchmark/benchmark.h>
-
 #include <cmath>
 
 #include "bench_support/sweep.hpp"
@@ -73,22 +71,9 @@ void run_tables() {
   std::cout << driver.report() << "\n";
 }
 
-void BM_DegreeSplit(benchmark::State& state) {
-  const auto g = cached_regular(4096, 32, 11);
-  for (auto _ : state) {
-    RoundLedger ledger;
-    LocalContext ctx(ledger);
-    const auto split = degree_split(*g, 2, 100, 5, ctx);
-    benchmark::DoNotOptimize(split.part.data());
-  }
-}
-BENCHMARK(BM_DegreeSplit)->Unit(benchmark::kMillisecond);
-
 }  // namespace
 
-int main(int argc, char** argv) {
+int main() {
   run_tables();
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
   return 0;
 }

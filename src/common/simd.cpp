@@ -1,9 +1,5 @@
 #include "common/simd.hpp"
 
-#include <cstdio>
-#include <cstdlib>
-#include <cstring>
-
 #if defined(__x86_64__) || defined(__i386__)
 #include <immintrin.h>
 #define DELTACOLOR_HAVE_AVX2_PATH 1
@@ -18,8 +14,8 @@ namespace {
 
 // --- scalar reference kernels ----------------------------------------------
 // These are the semantics. Every vector kernel below must agree bit-for-bit
-// on every input; bench_kernels enforces that with an abort-on-mismatch
-// cross-check, and test_palette_set re-verifies it per level.
+// on every input; test_palette_set's SimdDispatch tests check it per level
+// against forced scalar.
 
 void andnot_scalar(std::uint64_t* dst, const std::uint64_t* src,
                    std::size_t n) {
@@ -298,44 +294,12 @@ const KernelTable* table_for(Level level) {
   return nullptr;
 }
 
-/// DELTACOLOR_SIMD > best supported. Unknown / unsupported requests warn
-/// once on stderr and fall back to best_level().
-const KernelTable* resolve_startup_table() {
-  const char* env = std::getenv("DELTACOLOR_SIMD");
-  if (env != nullptr && *env != '\0' && std::strcmp(env, "native") != 0) {
-    Level want = Level::kScalar;
-    bool known = true;
-    if (std::strcmp(env, "scalar") == 0) {
-      want = Level::kScalar;
-    } else if (std::strcmp(env, "avx2") == 0) {
-      want = Level::kAvx2;
-    } else if (std::strcmp(env, "neon") == 0) {
-      want = Level::kNeon;
-    } else {
-      known = false;
-    }
-    if (known) {
-      if (const KernelTable* t = table_for(want)) return t;
-      std::fprintf(stderr,
-                   "deltacolor: DELTACOLOR_SIMD=%s not supported on this "
-                   "host; using %s\n",
-                   env, to_string(best_level()));
-    } else {
-      std::fprintf(stderr,
-                   "deltacolor: unknown DELTACOLOR_SIMD=%s (expected "
-                   "scalar|avx2|neon|native); using %s\n",
-                   env, to_string(best_level()));
-    }
-  }
-  return table_for(best_level());
-}
-
-/// Upgrades the constant-initialized scalar table to the resolved level
-/// before main() runs (palette calls during earlier static init stay on the
+/// Upgrades the constant-initialized scalar table to best_level() before
+/// main() runs (palette calls during earlier static init stay on the
 /// safe scalar path).
 struct StartupResolver {
   StartupResolver() {
-    detail::g_active.store(resolve_startup_table(),
+    detail::g_active.store(table_for(best_level()),
                            std::memory_order_relaxed);
   }
 } g_startup_resolver;
@@ -398,7 +362,7 @@ bool force_level(Level level) {
 }
 
 void reset_level() {
-  detail::g_active.store(resolve_startup_table(), std::memory_order_relaxed);
+  detail::g_active.store(table_for(best_level()), std::memory_order_relaxed);
 }
 
 }  // namespace deltacolor::simd

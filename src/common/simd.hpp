@@ -8,7 +8,7 @@
 //
 //   * kScalar — the portable word-at-a-time loops. Always compiled, always
 //     available; this is the reference implementation every vector path is
-//     cross-checked against (bench_kernels aborts on any divergence).
+//     cross-checked against (test_palette_set's SimdDispatch tests).
 //   * kAvx2   — 256-bit AVX2 paths (4 words per vector; popcounts via the
 //     vpshufb nibble-LUT + vpsadbw reduction). Compiled on x86-64 behind
 //     __attribute__((target("avx2"))), selected only when the CPU reports
@@ -21,12 +21,10 @@
 // with no reassociation hazards — so the palette ascending-enumeration
 // contract and the golden hashes are level-independent by construction.
 //
-// Selection order: DELTACOLOR_SIMD env var ("scalar" | "avx2" | "neon" |
-// "native") > best level the host supports ("native", the default). An
-// unsupported or unknown request falls back to the best supported level
-// with a one-line stderr warning. Tests and benches can swap levels at
-// runtime via force_level(); PaletteSet picks up the change on the next
-// call (the table pointer is a relaxed atomic).
+// Selection: the best level the host supports, resolved once at startup.
+// Tests can swap levels at runtime via force_level() and undo it with
+// reset_level(); PaletteSet picks up the change on the next call (the
+// table pointer is a relaxed atomic).
 //
 // Dispatch cost: one relaxed load + one indirect call per operation. Below
 // kMinWords (8 words = 512 palette colors) the callers keep their inlined
@@ -108,16 +106,15 @@ const char* to_string(Level level);
 /// True when this host can execute `level`.
 bool level_supported(Level level);
 
-/// Best level the host supports (what "native" resolves to).
+/// Best level the host supports (the startup level).
 Level best_level();
 
 /// Swaps the dispatch table; returns false (and leaves the table unchanged)
-/// when the host does not support `level`. Used by the cross-checking
-/// microbench and the parity tests; not intended for concurrent callers
-/// racing palette operations mid-swap.
+/// when the host does not support `level`. Used by the parity tests; not
+/// intended for concurrent callers racing palette operations mid-swap.
 bool force_level(Level level);
 
-/// Re-resolves from DELTACOLOR_SIMD / best_level() (undoes force_level).
+/// Restores best_level() (undoes force_level).
 void reset_level();
 
 }  // namespace deltacolor::simd

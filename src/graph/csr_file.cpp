@@ -10,7 +10,6 @@
 #include <cerrno>
 #include <cstddef>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <numeric>
@@ -107,20 +106,6 @@ void validate_header(const CsrFileHeader& h, std::uint64_t file_bytes,
              std::to_string(want.total_bytes));
 }
 
-CsrVerify verify_policy(CsrVerify requested) {
-  const char* env = std::getenv("DELTACOLOR_CSR_VERIFY");
-  if (env == nullptr) return requested;
-  const std::string v(env);
-  if (v == "always" || v == "1") return CsrVerify::kAlways;
-  if (v == "never" || v == "0") return CsrVerify::kNever;
-  if (v == "auto") return CsrVerify::kAuto;
-  std::fprintf(stderr,
-               "csr_file: ignoring unknown DELTACOLOR_CSR_VERIFY=%s "
-               "(expected always|never|auto)\n",
-               env);
-  return requested;
-}
-
 }  // namespace
 
 std::uint64_t csr_checksum(const void* data, std::size_t bytes,
@@ -206,10 +191,10 @@ Graph load_csr_file(const std::string& path, const CsrLoadOptions& options) {
   std::memcpy(&header, mapping->data(), sizeof(header));
   validate_header(header, mapping->size(), path);
 
-  const CsrVerify verify = verify_policy(options.verify);
   const bool check_sections =
-      verify == CsrVerify::kAlways ||
-      (verify == CsrVerify::kAuto && mapping->size() <= kAutoVerifyLimit);
+      options.verify == CsrVerify::kAlways ||
+      (options.verify == CsrVerify::kAuto &&
+       mapping->size() <= kAutoVerifyLimit);
   if (check_sections) {
     for (int s = 0; s < kNumSections; ++s) {
       const CsrSection& sec = header.sections[s];

@@ -32,7 +32,7 @@
 // verifying a section faults in all of its pages, which would defeat the
 // point of mapping a 20 GB file, so kAuto verifies sections only when the
 // file is at most kAutoVerifyLimit bytes. The header is always verified.
-// DELTACOLOR_CSR_VERIFY=always|never|auto overrides the caller's choice.
+// CsrLoadOptions::verify is the one way to choose.
 #pragma once
 
 #include <cstddef>
@@ -140,7 +140,7 @@ CsrFileInfo peek_csr_file(const std::string& path);
 bool is_csr_file(const std::string& path);
 
 /// Zero-copy load: validates the header (always) and section checksums
-/// (per options/DELTACOLOR_CSR_VERIFY), then adopts the mapped sections.
+/// (per options.verify), then adopts the mapped sections.
 /// The returned Graph keeps the mapping alive; copies share it.
 Graph load_csr_file(const std::string& path,
                     const CsrLoadOptions& options = {});

@@ -29,7 +29,7 @@ PowerGraphView::PowerGraphView(const Graph& host, int radius)
   const NodeId n = host.num_nodes();
   degree_.assign(n, 0);
   // Exact ball sizes via one bounded BFS per node (same work the eager
-  // power_graph() spends, but nothing beyond the degree array is kept).
+  // power-graph oracle spends, but nothing beyond the degree array is kept).
   std::vector<int> dist(n, -1);
   std::vector<NodeId> queue;
   std::vector<NodeId> touched;

@@ -23,9 +23,10 @@
 // (power view). Construction is O(n) memory for the node-indexed arrays
 // (mappings, exact degrees) — never O(edges-of-the-view).
 //
-// The eager materializers in graph/subgraph.hpp (induced_subgraph,
-// power_graph, line_graph) survive as test oracles: tests assert that each
-// view enumerates exactly the materialized adjacency.
+// The eager materializers (induced_subgraph in graph/subgraph.hpp;
+// power_graph and line_graph in the test suite) serve as test oracles:
+// tests assert that each view enumerates exactly the materialized
+// adjacency.
 #pragma once
 
 #include <algorithm>
@@ -150,9 +151,9 @@ class PowerGraphView {
 static_assert(GraphView<PowerGraphView>);
 
 /// View of the line graph L(G): one node per host EdgeId, adjacency iff
-/// the edges share an endpoint. Identifiers match line_graph()'s encoding
-/// of the endpoint identifier pair. max_degree() is the structural bound
-/// 2*Delta(G) - 2 — computable without communication and the bound the
+/// the edges share an endpoint. Identifiers match the line-graph oracle's
+/// encoding of the endpoint identifier pair. max_degree() is the structural
+/// bound 2*Delta(G) - 2 — computable without communication and the bound the
 /// paper's dilation arguments (and the pre-existing edge-coloring palette
 /// arithmetic) use; per-node degree(e) is exact. One line-graph round
 /// dilates to 2 host rounds (the endpoints sync the edge state over the

@@ -1,6 +1,7 @@
-// Derived graphs: induced subgraphs (with node maps), power graphs, and the
-// line graph. These back the paper's virtual-graph constructions and the
-// class-greedy primitives.
+// Derived graphs: induced subgraphs (with node maps) and connected
+// components. The randomized algorithm's post-shattering step materializes
+// each shattered component with induced_subgraph; the Brooks baseline
+// colors component by component.
 #pragma once
 
 #include <vector>
@@ -19,15 +20,6 @@ struct Subgraph {
 /// Subgraph of `g` induced by `nodes` (need not be sorted/unique).
 /// Identifiers are inherited from the host graph.
 Subgraph induced_subgraph(const Graph& g, const std::vector<NodeId>& nodes);
-
-/// Power graph G^r: same nodes, edge between u != v iff dist_G(u, v) <= r.
-/// Intended for small r on bounded-degree graphs (used by ruling sets).
-Graph power_graph(const Graph& g, int r);
-
-/// The line graph L(G): one node per edge of g, adjacency iff the edges
-/// share an endpoint. Node i of the line graph corresponds to EdgeId i.
-/// Identifiers are derived from endpoint identifiers (unique per edge).
-Graph line_graph(const Graph& g);
 
 /// Connected components: returns component index per node and the count.
 struct Components {

@@ -54,12 +54,6 @@ class LocalContext {
   const EngineOptions& engine() const { return engine_; }
   std::uint64_t seed() const { return seed_; }
 
-  /// The calling worker's scratch arena (reset by the engine at every
-  /// chunk boundary — see arena.hpp for the ownership contract). Step
-  /// kernels open a ScratchArena::Frame on it instead of keeping
-  /// thread_local vectors.
-  ScratchArena& scratch() const { return ScratchArena::local(); }
-
   bool has_phase() const { return !stack_.empty(); }
 
   /// Innermost phase label. A phase must be active (primitives guarantee

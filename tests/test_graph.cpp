@@ -4,6 +4,7 @@
 #include <algorithm>
 #include <sstream>
 
+#include "derived_graphs.hpp"
 #include "graph/checker.hpp"
 #include "graph/generators.hpp"
 #include "graph/graph.hpp"

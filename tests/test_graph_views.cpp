@@ -1,14 +1,16 @@
 // Lazy GraphView parity tests: every view (InducedSubgraphView,
 // PowerGraphView, LineGraphView) must enumerate exactly the adjacency of
-// its eager materializer oracle (graph/subgraph.hpp), with matching
-// degrees, identifiers, and dilation — and view-generic primitives must
-// produce identical results on the view and on the materialized graph.
+// its eager materializer oracle (induced_subgraph, and power_graph /
+// line_graph from derived_graphs.hpp), with matching degrees, identifiers,
+// and dilation — and view-generic primitives must produce identical
+// results on the view and on the materialized graph.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <vector>
 
 #include "bench_support/workloads.hpp"
+#include "derived_graphs.hpp"
 #include "graph/generators.hpp"
 #include "graph/graph_view.hpp"
 #include "graph/subgraph.hpp"

@@ -242,10 +242,6 @@ TEST(ColorLists, EmptyStates) {
 }
 
 // ---------------------------------------------------------------------------
-// ScratchArena
-// ---------------------------------------------------------------------------
-
-// ---------------------------------------------------------------------------
 // SIMD dispatch parity: every supported level computes bit-identically to
 // the forced-scalar table on the same palettes, across widths straddling
 // the kMinWords dispatch cutoff (8 words = 512 colors).
@@ -347,6 +343,10 @@ TEST(SimdDispatch, ForceUnsupportedLevelIsRejected) {
 #endif
   EXPECT_EQ(simd::active_level(), before);
 }
+
+// ---------------------------------------------------------------------------
+// ScratchArena
+// ---------------------------------------------------------------------------
 
 TEST(ScratchArena, AllocationsAre32ByteAligned) {
   // SIMD kernels may use aligned vector loads on arena-carved scratch, so

@@ -28,8 +28,7 @@
 // far below the file size.
 //
 // `info` prints the header of an existing container. `verify` re-checks
-// every section checksum (load with DELTACOLOR_CSR_VERIFY-independent
-// forced verification).
+// every section checksum (a load with CsrVerify::kAlways).
 //
 // Exit codes: 0 success; 2 usage error; 3 unreadable/malformed input or
 // failed verification.
